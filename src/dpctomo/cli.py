@@ -1,10 +1,11 @@
 """Command-line front end.
 
-Exit codes: 0 success, 2 usage error, 3 I/O failure, 4 numerical failure
-(solver breakdown before any valid iterate).  Every command writes a JSON
-manifest next to its primary output and stamps the shared run id into the
-files it produces, so a result can always be traced back to the exact
-command, configuration, and seed.
+Exit codes: 0 success, 2 usage error, 3 I/O failure (including input
+files holding NaN or inf), 4 numerical failure (solver breakdown before
+any valid iterate, or a solver trace gone non-finite).  Every command
+writes a JSON manifest next to its primary output and stamps the shared
+run id into the files it produces, so a result can always be traced back
+to the exact command, configuration, and seed.
 """
 
 from __future__ import annotations
@@ -387,7 +388,7 @@ def main(argv=None) -> int:
         # mapped to UsageError before reaching the solvers
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except NumericalFailure as exc:
+    except (NumericalFailure, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -19,6 +19,8 @@ import json
 import struct
 from dataclasses import dataclass, field, asdict
 
+import numpy as np
+
 from . import __version__
 from .gbit import GBiTReport
 from .projector import Image, Sinogram
@@ -29,6 +31,17 @@ SINO_MAGIC = "DPCTOMO-SINO-1"
 
 def _fmt(value: float) -> str:
     return format(float(value), ".17g")
+
+
+def _finite(path, values: list[float]) -> np.ndarray:
+    """The values as an array; NaN or inf is refused where it enters."""
+    arr = np.asarray(values, dtype=np.float64)
+    bad = np.flatnonzero(~np.isfinite(arr))
+    if bad.size:
+        raise ValueError(
+            f"{path}: {bad.size} non-finite value(s); data value {bad[0]} is {arr[bad[0]]}"
+        )
+    return arr
 
 
 def make_run_id(payload: dict) -> str:
@@ -50,7 +63,7 @@ def read_image(path) -> Image:
             raise ValueError(f"{path}: not an image file (bad magic line)")
         n_x = int(fh.readline())
         n_y = int(fh.readline())
-        values = [float(line) for line in fh if line.strip()]
+        values = _finite(path, [float(line) for line in fh if line.strip()])
     return Image(n_x=n_x, n_y=n_y, values=values)
 
 
@@ -88,16 +101,17 @@ def read_sinogram(path) -> Sinogram:
         ordering = next(lines).strip()
         if ordering != "ordering=angle-major":
             raise ValueError(f"{path}: unsupported ordering {ordering!r}")
-        values = [float(line) for line in lines if line.strip()]
+        values = _finite(path, [float(line) for line in lines if line.strip()])
     return Sinogram(k=k, l=l, values=values, h=h)
 
 
 def write_report_csv(path, report: GBiTReport, run_id: str = "-") -> None:
-    """Per-iteration trace; the rel_error cell is empty without a truth."""
+    """Per-iteration trace; the rel_error and residual cells are empty
+    when the run had no truth or did not track the true residual."""
     with open(path, "w", newline="") as fh:
         fh.write(f"# manifest: {run_id}\n")
         writer = csv.writer(fh)
-        writer.writerow(["iter", "phi0", "phi_lambda", "lambda", "rel_error"])
+        writer.writerow(["iter", "phi0", "phi_lambda", "lambda", "rel_error", "residual"])
         for rec in report.records:
             writer.writerow(
                 [
@@ -106,6 +120,7 @@ def write_report_csv(path, report: GBiTReport, run_id: str = "-") -> None:
                     _fmt(rec.phi_lambda),
                     _fmt(rec.lam),
                     "" if rec.rel_error is None else _fmt(rec.rel_error),
+                    "" if rec.residual is None else _fmt(rec.residual),
                 ]
             )
 
@@ -122,6 +137,7 @@ def read_report_csv(path) -> list[dict]:
                     "phi_lambda": float(row["phi_lambda"]),
                     "lambda": float(row["lambda"]),
                     "rel_error": float(row["rel_error"]) if row["rel_error"] else None,
+                    "residual": float(row["residual"]) if row["residual"] else None,
                 }
             )
     return rows

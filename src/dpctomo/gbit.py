@@ -9,10 +9,11 @@ bidiagonal problem equal to the true residual of the full problem to
 near machine precision.
 
 Each outer iteration solves the projected problem twice, once
-unregularized and once with the current ridge weight, and updates the
-weight by a secant step aimed at the discrepancy target.  The projected
-systems are solved by Givens QR directly on the two coefficient
-sequences; the bidiagonal matrix is never formed densely in this path.
+unregularized and once with the current ridge weight (once only when
+that weight is zero), and updates the weight by a secant step aimed at
+the discrepancy target.  The projected systems are solved by Givens QR
+directly on the two coefficient sequences; the bidiagonal matrix is
+never formed densely in this path.
 """
 
 from __future__ import annotations
@@ -455,15 +456,19 @@ def gbit_solve(A: LinearOperator, b, config: GBiTConfig | None = None):
             termination = "breakdown"
             break
         alphas, betas = dec.alphas, dec.betas
-        _, phi0 = solve_lsqr_subproblem(alphas, betas, dec.r0_norm)
-        y_lam, phi_lam = solve_tikhonov_subproblem(
-            alphas,
-            betas,
-            dec.r0_norm,
-            lam,
-            regularizer=config.regularizer,
-            basis=dec.V if config.regularizer is not None else None,
-        )
+        y0, phi0 = solve_lsqr_subproblem(alphas, betas, dec.r0_norm)
+        if lam == 0.0:
+            # the ridge solve at weight zero is the unregularized one
+            y_lam, phi_lam = y0, phi0
+        else:
+            y_lam, phi_lam = solve_tikhonov_subproblem(
+                alphas,
+                betas,
+                dec.r0_norm,
+                lam,
+                regularizer=config.regularizer,
+                basis=dec.V if config.regularizer is not None else None,
+            )
         if config.update_scheme == "classic":
             lam_next = secant_update_classic(lam, phi0, phi_lam, config.eta, config.epsilon)
         elif config.update_scheme == "alternative":

@@ -13,14 +13,19 @@ the pixel in grid column ``ix`` (x direction) and row ``iy`` (y
 direction).  Sinograms are angle-major blocks of ``k`` detector values,
 matching the block structure of the difference operators.
 
-The weight matrix of a geometry is assembled once (vectorized over the
-rays of each angle, sequential across angles) and stored sparse, so
-repeated applies are fast and the accumulation order of the adjoint is
-fixed, making results reproducible run to run.
+The weight matrix of a geometry is assembled once and stored sparse,
+together with its transpose, so repeated applies are fast and the
+accumulation order of the adjoint is fixed, making results reproducible
+run to run.  Assembly is vectorized over the rays of each angle; blocks
+of angles are traced, and ranges of pixels of the transpose are written,
+on a thread pool for geometries large enough to pay for it.  Both stored
+matrices are the same, array for array, whatever the number of workers.
 """
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -123,8 +128,13 @@ class Sinogram:
         return self.values.reshape(self.l, self.k)
 
 
-def _trace_angle(geom: ProjectionGeometry, theta: float):
-    """Sparse weights (det_index, pixel_index, length) for one angle."""
+def _trace_angle(geom: ProjectionGeometry, theta: float, work: np.ndarray):
+    """Sparse weights of one angle: (entries per detector, pixel index,
+    length), detector by detector and along each ray in travel order.
+
+    ``work`` is scratch space of shape (4, k * (n_x + n_y + 4)); reusing
+    it across angles spares the page faults of fresh temporaries.
+    """
     nx, ny, ps = geom.n_x, geom.n_y, geom.pixel_size
     x_min = -0.5 * nx * ps
     y_min = -0.5 * ny * ps
@@ -133,55 +143,131 @@ def _trace_angle(geom: ProjectionGeometry, theta: float):
     p0x, p0y = t * cos_t, t * sin_t
     dx, dy = -sin_t, cos_t
 
-    def axis_crossings(p0, d, planes):
-        # crossing parameters with one family of grid planes, plus the
-        # parametric window the ray spends between the outermost planes
-        if d != 0.0:
-            a = (planes[None, :] - p0[:, None]) / d
-            return a, np.minimum(a[:, 0], a[:, -1]), np.maximum(a[:, 0], a[:, -1])
-        inside = (p0 >= planes[0]) & (p0 <= planes[-1])
-        lo = np.where(inside, -np.inf, np.inf)
-        hi = np.where(inside, np.inf, -np.inf)
-        return None, lo, hi
-
+    # one row per ray: its crossing parameters with each family of grid
+    # planes it is not parallel to, then its entry and exit parameters
     xplanes = x_min + ps * np.arange(nx + 1)
     yplanes = y_min + ps * np.arange(ny + 1)
-    ax, lo_x, hi_x = axis_crossings(p0x, dx, xplanes)
-    ay, lo_y, hi_y = axis_crossings(p0y, dy, yplanes)
-    enter = np.maximum(lo_x, lo_y)
-    leave = np.minimum(hi_x, hi_y)
-    hit = leave > enter
+    width = (nx + 1) * (dx != 0.0) + (ny + 1) * (dy != 0.0) + 2
 
-    parts = [a for a in (ax, ay) if a is not None]
-    alphas = np.concatenate(parts + [enter[:, None], leave[:, None]], axis=1)
-    alphas = np.clip(alphas, enter[:, None], leave[:, None])
+    def scratch(i, cols):
+        return work[i, : geom.k * cols].reshape(geom.k, cols)
+
+    alphas = scratch(0, width)
+    enter, leave = np.full(geom.k, -np.inf), np.full(geom.k, np.inf)
+    col = 0
+    for p0, d, planes in ((p0x, dx, xplanes), (p0y, dy, yplanes)):
+        if d != 0.0:
+            a = alphas[:, col : col + planes.size]
+            col += planes.size
+            np.subtract(planes, p0[:, None], out=a)
+            a /= d
+            lo, hi = np.minimum(a[:, 0], a[:, -1]), np.maximum(a[:, 0], a[:, -1])
+        else:
+            inside = (p0 >= planes[0]) & (p0 <= planes[-1])
+            lo, hi = np.where(inside, -np.inf, np.inf), np.where(inside, np.inf, -np.inf)
+        np.maximum(enter, lo, out=enter)
+        np.minimum(leave, hi, out=leave)
+    hit = leave > enter
+    alphas[:, -2] = enter
+    alphas[:, -1] = leave
+    np.clip(alphas, enter[:, None], leave[:, None], out=alphas)
     alphas[~hit] = 0.0
     alphas.sort(axis=1)
 
-    lengths = np.diff(alphas, axis=1)  # ray direction is unit length
-    mids = 0.5 * (alphas[:, :-1] + alphas[:, 1:])
-    ix = np.floor((p0x[:, None] + mids * dx - x_min) / ps)
-    iy = np.floor((p0y[:, None] + mids * dy - y_min) / ps)
-    valid = hit[:, None] & (lengths > 1e-12 * ps)
-    valid &= (ix >= 0) & (ix < nx) & (iy >= 0) & (iy < ny)
+    # ray direction is unit length, so parameter steps are lengths
+    lengths = np.subtract(alphas[:, 1:], alphas[:, :-1], out=scratch(1, width - 1))
+    mids = np.add(alphas[:, :-1], alphas[:, 1:], out=scratch(2, width - 1))
+    mids *= 0.5
 
-    det_index = np.broadcast_to(np.arange(geom.k)[:, None], lengths.shape)
-    pixel_index = iy[valid].astype(np.int32) + ix[valid].astype(np.int32) * np.int32(ny)
-    return det_index[valid].astype(np.int32), pixel_index, lengths[valid]
+    def cell(p0, d, lo, out):
+        # floor((p0 + mid * d - lo) / ps), the grid index along one axis
+        np.multiply(mids, d, out=out)
+        out += p0[:, None]
+        out -= lo
+        out /= ps
+        return np.floor(out, out=out)
+
+    ix = cell(p0x, dx, x_min, scratch(3, width - 1))
+    iy = cell(p0y, dy, y_min, mids)
+    valid = lengths > 1e-12 * ps
+    valid &= hit[:, None]
+    valid &= ix >= 0
+    valid &= ix < nx
+    valid &= iy >= 0
+    valid &= iy < ny
+
+    ix *= ny  # pixel index iy + ix * n_y, exact in float64
+    ix += iy
+    return np.count_nonzero(valid, axis=1), ix[valid].astype(np.int32), lengths[valid]
 
 
-def _assemble_weights(geom: ProjectionGeometry) -> sp.csr_matrix:
-    rows, cols, vals = [], [], []
-    for a, theta in enumerate(geom.angles):
-        det_idx, pix_idx, w = _trace_angle(geom, float(theta))
-        rows.append(det_idx.astype(np.int64) + a * geom.k)
-        cols.append(pix_idx.astype(np.int64))
+# Assembly traces blocks of angles and transposes ranges of pixels.  It
+# runs them on a thread pool once the geometry traces about
+# _WORK_PER_WORKER crossing parameters per worker: numpy and scipy release
+# the interpreter lock on arrays that large, while smaller geometries are
+# bound by the interpreter and assemble serially.
+_ANGLE_BLOCKS = 8
+_PIXEL_RANGES = 4
+_WORK_PER_WORKER = 2_000_000
+
+
+def _trace_block(geom: ProjectionGeometry, angles: np.ndarray) -> sp.csr_matrix:
+    """CSR rows of a run of consecutive angles, in the canonical format."""
+    work = np.empty((4, geom.k * (geom.n_x + geom.n_y + 4)))
+    counts, cols, vals = [], [], []
+    for theta in angles:
+        per_ray, pix_idx, w = _trace_angle(geom, float(theta), work)
+        counts.append(per_ray)
+        cols.append(pix_idx)
         vals.append(w)
-    matrix = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(geom.m, geom.n),
+    indptr = np.concatenate(([0], np.cumsum(np.concatenate(counts))))
+    block = sp.csr_matrix(
+        (np.concatenate(vals), np.concatenate(cols), indptr),
+        shape=(angles.size * geom.k, geom.n),
     )
-    return matrix.tocsr()
+    block.sum_duplicates()  # sorts each row by pixel, as one global tocsr() does
+    return block
+
+
+def _worker_count(geom: ProjectionGeometry) -> int:
+    if hasattr(os, "sched_getaffinity"):  # the cores this process may use
+        cores = len(os.sched_getaffinity(0))
+    else:
+        cores = os.cpu_count() or 1
+    work = geom.l * geom.k * (geom.n_x + geom.n_y + 4)
+    return max(1, min(cores, work // _WORK_PER_WORKER))
+
+
+def _assemble_weights(geom: ProjectionGeometry, workers: int):
+    """The weight matrix and its transpose, both CSR in canonical format.
+
+    The blocks of angles are stacked in row order.  Each range of pixels
+    of the transpose lists, per pixel, its rays in ascending order, so the
+    transpose equals ``weights.T.tocsr()`` array for array.  Neither
+    matrix depends on the number of workers.
+    """
+    angle_blocks = np.array_split(geom.angles, min(_ANGLE_BLOCKS, geom.l))
+    ranges = min(_PIXEL_RANGES, geom.n)
+    bounds = [geom.n * j // ranges for j in range(ranges + 1)]
+    with ThreadPoolExecutor(workers) as pool:  # starts no thread if unused
+        run = pool.map if workers > 1 else map
+        blocks = list(run(lambda angles: _trace_block(geom, angles), angle_blocks))
+        pixel_counts = sum(run(lambda b: np.bincount(b.indices, minlength=geom.n), blocks))
+        weights = sp.vstack(blocks, format="csr")
+        del blocks
+        indptr_t = np.zeros(geom.n + 1, dtype=weights.indptr.dtype)
+        np.cumsum(pixel_counts, out=indptr_t[1:])
+        indices_t = np.empty(weights.nnz, dtype=weights.indices.dtype)
+        data_t = np.empty(weights.nnz)
+
+        def transpose_range(j):
+            lo, hi = bounds[j], bounds[j + 1]
+            part = weights[:, lo:hi].T.tocsr()
+            indices_t[indptr_t[lo] : indptr_t[hi]] = part.indices
+            data_t[indptr_t[lo] : indptr_t[hi]] = part.data
+
+        list(run(transpose_range, range(ranges)))
+    return weights, sp.csr_matrix((data_t, indices_t, indptr_t), shape=(geom.n, geom.m))
 
 
 class ParallelProjector(LinearOperator):
@@ -190,8 +276,7 @@ class ParallelProjector(LinearOperator):
     def __init__(self, geometry: ProjectionGeometry):
         super().__init__(geometry.m, geometry.n)
         self.geometry = geometry
-        self._weights = _assemble_weights(geometry)
-        self._weights_t = self._weights.T.tocsr()
+        self._weights, self._weights_t = _assemble_weights(geometry, _worker_count(geometry))
 
     def apply(self, x):
         return self._weights @ as_vector(x, self.cols, repr(self))

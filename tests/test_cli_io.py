@@ -87,7 +87,37 @@ class TestFileFormats:
         assert rows[0]["rel_error"] is None
         assert rows[1] == {
             "iter": 2, "phi0": 1.25, "phi_lambda": 1.75, "lambda": 0.5, "rel_error": 0.375,
+            "residual": None,
         }
+
+    def test_report_csv_residual_roundtrip(self, tmp_path):
+        records = [
+            IterationRecord(1, 2.5, 3.5, 0.125, None, 3.5000000000000004),
+            IterationRecord(2, 1.25, 1.75, 0.5, 0.375, 1.7499999999999998),
+        ]
+        path = tmp_path / "trace.csv"
+        write_report_csv(path, GBiTReport(records, "max_iter", np.zeros(2), 4.0))
+        assert path.read_text().splitlines()[1].endswith(",rel_error,residual")
+        rows = read_report_csv(path)
+        assert [row["residual"] for row in rows] == [r.residual for r in records]
+        assert rows[0]["rel_error"] is None
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_nonfinite_values_rejected_naming_the_file(self, tmp_path, bad):
+        img_path = tmp_path / "img.txt"
+        write_image(img_path, Image(n_x=2, n_y=2, values=np.arange(4.0)))
+        lines = img_path.read_text().splitlines()
+        lines[4] = bad
+        img_path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="img.txt.*non-finite.*data value 1 "):
+            read_image(img_path)
+        sino_path = tmp_path / "m.sino"
+        write_sinogram(sino_path, Sinogram(k=3, l=2, values=np.arange(6.0)))
+        lines = sino_path.read_text().splitlines()
+        lines[-1] = bad
+        sino_path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="m.sino.*non-finite.*data value 5 "):
+            read_sinogram(sino_path)
 
     def test_manifest_roundtrip(self, tmp_path):
         manifest = RunManifest(
@@ -213,6 +243,34 @@ class TestReconstructCommand:
         rows = read_report_csv(f"{prefix}.report.csv")
         b_norm = np.linalg.norm(read_sinogram(sino_path).values)
         assert rows[-1]["phi0"] <= 1e-8 * b_norm
+
+    def test_nan_sinogram_is_io_error(self, pipeline, tmp_path):
+        # fbp would otherwise spread one NaN over the whole image
+        _, _, sino_path = pipeline
+        lines = sino_path.read_text().splitlines()
+        lines[-3] = "nan"
+        bad = tmp_path / "bad.sino"
+        bad.write_text("\n".join(lines) + "\n")
+        (tmp_path / "bad.sino.manifest.json").write_text(
+            (sino_path.parent / (sino_path.name + ".manifest.json")).read_text()
+        )
+        prefix = tmp_path / "rec"
+        result = run_cli("reconstruct", "--sino", bad, "--solver", "fbp", "--out", prefix)
+        assert result.returncode == 3
+        assert "bad.sino" in result.stderr and "non-finite" in result.stderr
+        assert not (tmp_path / "rec.image.txt").exists()
+
+    def test_nonfinite_solver_trace_is_numerical_failure(self, pipeline, tmp_path):
+        # a huge initial weight pushed further up by the secant step
+        # overflows to inf, which the solver refuses
+        _, _, sino_path = pipeline
+        result = run_cli(
+            "reconstruct", "--sino", sino_path, "--solver", "gbit",
+            "--epsilon", "1e12", "--lambda0", "1e300", "--out", tmp_path / "rec",
+        )
+        assert result.returncode == 4
+        assert "numerical failure" in result.stderr and "non-finite" in result.stderr
+        assert "Traceback" not in result.stderr
 
     def test_gbit_with_manifest_epsilon_terminates(self, pipeline):
         root, phantom_path, sino_path = pipeline

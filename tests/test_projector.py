@@ -6,14 +6,20 @@ parametric overlap as the intersection length.  The production traversal
 walks plane crossings instead, so agreement is a genuine cross-check.
 """
 
+import os
+import sys
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from dpctomo.linops import ShapeMismatchError, densify
 from dpctomo.projector import (
     Image,
     ProjectionGeometry,
     Sinogram,
+    _assemble_weights,
+    _trace_angle,
     backproject,
     build_projector,
     project,
@@ -52,6 +58,83 @@ def clipping_oracle(geom):
                     if not miss and hi > lo:
                         weights[a * geom.k + i, iy + ix * geom.n_y] = hi - lo
     return weights
+
+
+def reference_assembly(geom):
+    """Both stored matrices the way a single global pass builds them: one
+    COO matrix of every traced entry, converted to CSR, then transposed."""
+    work = np.empty((4, geom.k * (geom.n_x + geom.n_y + 4)))
+    rows, cols, vals = [], [], []
+    for a, theta in enumerate(geom.angles):
+        per_ray, pixels, lengths = _trace_angle(geom, float(theta), work)
+        rows.append(np.repeat(np.arange(geom.k, dtype=np.int64) + a * geom.k, per_ray))
+        cols.append(pixels.astype(np.int64))
+        vals.append(lengths)
+    coo = sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(geom.m, geom.n),
+    )
+    weights = coo.tocsr()
+    return weights, weights.T.tocsr()
+
+
+def assert_same_arrays(actual, expected):
+    assert actual.shape == expected.shape
+    assert actual.has_canonical_format and expected.has_canonical_format
+    for name in ("data", "indices", "indptr"):
+        a, e = getattr(actual, name), getattr(expected, name)
+        assert a.dtype == e.dtype, name
+        assert np.array_equal(a, e), name
+
+
+ASSEMBLY_GEOMETRIES = {
+    "square": standard_geometry(12, 20),
+    "nx_ne_ny": ProjectionGeometry(n_x=13, n_y=7, k=13, angles=uniform_angles(11)),
+    "k_ne_n": standard_geometry(10, 9, detectors=17),
+    "scaled_pixels_and_detectors": ProjectionGeometry(
+        n_x=9, n_y=11, k=14, angles=uniform_angles(10), pixel_size=0.7, h=1.3
+    ),
+    "one_angle": ProjectionGeometry(n_x=8, n_y=8, k=8, angles=[0.3]),
+    "angles_not_a_multiple_of_blocks": standard_geometry(9, 13),
+    "axis_angles": ProjectionGeometry(
+        n_x=6, n_y=7, k=9, angles=[0.0, 0.4, np.pi / 2.0, 2.5, 3.0]
+    ),
+}
+
+
+class TestBlockedAssembly:
+    """The blocked, threaded assembly stores the same two matrices, array
+    for array, as one global COO -> CSR pass, for any worker count."""
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("name", sorted(ASSEMBLY_GEOMETRIES))
+    def test_matches_global_assembly_bit_for_bit(self, name, workers):
+        geom = ASSEMBLY_GEOMETRIES[name]
+        weights, weights_t = _assemble_weights(geom, workers)
+        ref, ref_t = reference_assembly(geom)
+        assert_same_arrays(weights, ref)
+        assert_same_arrays(weights_t, ref_t)
+
+    def test_projector_stores_the_reference_matrices(self):
+        geom = standard_geometry(16, 30)
+        op = build_projector(geom)
+        ref, ref_t = reference_assembly(geom)
+        assert_same_arrays(op._weights, ref)
+        assert_same_arrays(op._weights_t, ref_t)
+
+    def test_oversubscribed_pool_with_fast_switching(self):
+        # more workers than cores and a short switch interval, so that the
+        # workers writing disjoint ranges of the transpose interleave often
+        geom = standard_geometry(20, 24)
+        ref, ref_t = reference_assembly(geom)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            weights, weights_t = _assemble_weights(geom, 2 * (os.cpu_count() or 1) + 1)
+        finally:
+            sys.setswitchinterval(interval)
+        assert_same_arrays(weights, ref)
+        assert_same_arrays(weights_t, ref_t)
 
 
 class TestSingleRays:
