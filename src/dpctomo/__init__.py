@@ -9,65 +9,21 @@ filtered back-projection baselines, simulation tooling, and a CLI.
 
 __version__ = "0.1.0"
 
-from .linops import (
-    ComposedOperator,
-    IdentityOperator,
-    KronBlockOperator,
-    LinearOperator,
-    MatrixOperator,
-    ShapeMismatchError,
-    compose,
-    densify,
-    kron_identity_blocks,
-)
-from .diffops import (
-    BlockInvertibility,
-    DiffOperator,
-    SingularBlockError,
-    block_invertibility,
-    block_matrix,
-    invert_central,
-    invert_forward,
-    make_diff,
-)
-from .projector import (
-    Image,
-    ParallelProjector,
-    ProjectionGeometry,
-    Sinogram,
-    backproject,
-    build_projector,
-    project,
-    standard_geometry,
-    uniform_angles,
-)
-from .gbit import (
-    BidiagDecomposition,
-    GBiTConfig,
-    GBiTReport,
-    IterationRecord,
-    bidiag_step,
-    dense_bidiagonal,
-    gbit_solve,
-    lsqr_solve,
-    secant_update_alternative,
-    secant_update_classic,
-    solve_lsqr_subproblem,
-    solve_tikhonov_subproblem,
-)
-from .fbp import FilterSpec, NumericalConsistencyError, fbp_reconstruct, filter_sinogram
-from .simlab import (
-    ExperimentResult,
-    ModelErrorSpec,
-    NoiseSpec,
-    PhantomSpec,
-    ReconstructionArm,
-    add_noise,
-    generate_dpc_data,
-    make_phantom,
-    phase_retrieval_rhs,
-    relative_error,
-    run_experiment,
-)
+from .diffops import make_diff
+from .fbp import fbp_reconstruct
+from .gbit import GBiTConfig, gbit_solve, lsqr_solve
+from .linops import compose
+from .projector import build_projector, standard_geometry
+from .simlab import run_experiment
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "build_projector",
+    "standard_geometry",
+    "make_diff",
+    "compose",
+    "GBiTConfig",
+    "gbit_solve",
+    "lsqr_solve",
+    "fbp_reconstruct",
+    "run_experiment",
+]

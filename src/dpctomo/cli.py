@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -34,8 +35,15 @@ from .fileio import (
 )
 from .gbit import GBiTConfig, gbit_solve, lsqr_solve
 from .linops import compose
-from .projector import ProjectionGeometry, Sinogram, build_projector, project, uniform_angles
-from .simlab import ModelErrorSpec, NoiseSpec, PhantomSpec, add_noise, make_phantom
+from .projector import Image, ProjectionGeometry, Sinogram, build_projector, uniform_angles
+from .simlab import (
+    ModelErrorSpec,
+    NoiseSpec,
+    PhantomSpec,
+    add_noise,
+    generate_dpc_data,
+    make_phantom,
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -51,6 +59,15 @@ class UsageError(Exception):
 
 class NumericalFailure(Exception):
     pass
+
+
+@contextmanager
+def _flag_values():
+    """A ValueError raised inside comes from a flag's value: a usage error."""
+    try:
+        yield
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -159,25 +176,17 @@ def cmd_simulate(args) -> int:
     }
     run_id = make_run_id({"command": "simulate", **config})
     clock: dict = {}
-    with _timed(clock, "build"):
+    with _flag_values():
         geom = ProjectionGeometry(
             n_x=image.n_x, n_y=image.n_y, k=detectors, angles=uniform_angles(args.angles)
         )
+    with _timed(clock, "build"):
         projector = build_projector(geom)
     with _timed(clock, "simulate"):
-        y = project(projector, image).values
-        d_forward = make_diff("forward", geom.k, geom.l).apply(y)
-        d_central = make_diff("central", geom.k, geom.l).apply(y)
-        w = args.omega
-        clean = {
-            "forward": (1.0 - w) * d_forward + w * d_central,
-            "central": w * d_forward + (1.0 - w) * d_central,
-        }[args.model]
+        b_f, b_c = generate_dpc_data(image, geom, ModelErrorSpec(args.omega), projector=projector)
+        clean = (b_f if args.model == "forward" else b_c).values
         noisy = add_noise(clean, NoiseSpec(level=args.noise, offset=args.offset, seed=args.seed))
-        extra = {
-            "epsilon_noise": float(np.linalg.norm(noisy - clean)),
-            "epsilon_total": float(np.linalg.norm(noisy - d_forward if args.model == "forward" else noisy - d_central)),
-        }
+        extra = {"epsilon_noise": float(np.linalg.norm(noisy - clean))}
         if args.model == "forward":
             extra["epsilon_phase_retrieval"] = float(
                 np.linalg.norm(
@@ -236,6 +245,36 @@ def _resolve_epsilon(args, manifest: RunManifest | None) -> float | None:
         raise UsageError(f"--epsilon must be a number or 'manifest', got {args.epsilon!r}")
 
 
+def _solver_config(args, manifest: RunManifest, truth) -> GBiTConfig:
+    """The iterative solver's settings from the flags, checked before any
+    work starts; ``lsqr`` runs the fixed scheme at weight zero."""
+    x_true = truth.values if truth is not None else None
+    max_iter = args.max_iter if args.max_iter is not None else 200
+    if args.solver == "lsqr":
+        config = GBiTConfig(update_scheme="fixed", lambda0=0.0, max_iter=max_iter, x_true=x_true)
+    else:
+        scheme = args.scheme if args.scheme is not None else "classic"
+        epsilon = _resolve_epsilon(args, manifest)
+        if scheme == "classic" and epsilon is None:
+            raise UsageError(
+                "gbit with the classic scheme selects the ridge weight by the "
+                "discrepancy rule, which needs the noise norm: pass --epsilon "
+                "VALUE or --epsilon manifest (or use --scheme alternative)"
+            )
+        config = GBiTConfig(
+            eta=args.eta if args.eta is not None else 1.01,
+            epsilon=epsilon,
+            lambda0=args.lambda0 if args.lambda0 is not None else 1.0,
+            max_iter=max_iter,
+            maxcounter=args.maxcounter if args.maxcounter is not None else 3,
+            update_scheme=scheme,
+            x_true=x_true,
+        )
+    with _flag_values():
+        config.validate()
+    return config
+
+
 def cmd_reconstruct(args) -> int:
     sino = read_sinogram(args.sino)
     manifest_in = None
@@ -262,6 +301,7 @@ def cmd_reconstruct(args) -> int:
         truth = read_image(args.truth)
         if (truth.n_x, truth.n_y) != (n_x, n_y):
             raise UsageError("--truth grid does not match the sinogram's manifest grid")
+    solver_config = None if args.solver == "fbp" else _solver_config(args, manifest_in, truth)
 
     config = {
         "sino": args.sino,
@@ -304,39 +344,16 @@ def cmd_reconstruct(args) -> int:
             else:
                 operator = compose(make_diff(args.model, sino.k, sino.l), projector)
                 rhs = sino.values
-            max_iter = args.max_iter if args.max_iter is not None else 200
-            x_true = truth.values if truth is not None else None
             if args.solver == "lsqr":
-                x, report = lsqr_solve(operator, rhs, iters=max_iter, x_true=x_true)
-            else:
-                scheme = args.scheme if args.scheme is not None else "classic"
-                epsilon = _resolve_epsilon(args, manifest_in)
-                if scheme == "classic" and epsilon is None:
-                    raise UsageError(
-                        "gbit with the classic scheme selects the ridge weight by the "
-                        "discrepancy rule, which needs the noise norm: pass --epsilon "
-                        "VALUE or --epsilon manifest (or use --scheme alternative)"
-                    )
-                solver_config = GBiTConfig(
-                    eta=args.eta if args.eta is not None else 1.01,
-                    epsilon=epsilon,
-                    lambda0=args.lambda0 if args.lambda0 is not None else 1.0,
-                    max_iter=max_iter,
-                    maxcounter=args.maxcounter if args.maxcounter is not None else 3,
-                    update_scheme=scheme,
-                    x_true=x_true,
+                x, report = lsqr_solve(
+                    operator, rhs, iters=solver_config.max_iter, x_true=solver_config.x_true
                 )
-                try:
-                    solver_config.validate()
-                except ValueError as exc:
-                    raise UsageError(str(exc))
+            else:
                 x, report = gbit_solve(operator, rhs, solver_config)
             if report.termination == "breakdown" and not report.records:
                 raise NumericalFailure(
                     "bidiagonalization broke down before producing any iterate"
                 )
-            from .projector import Image
-
             image_out = Image(n_x=n_x, n_y=n_y, values=x)
             extra["termination"] = report.termination
             extra["iterations"] = report.iterations
@@ -384,8 +401,9 @@ def main(argv=None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (OSError, ValueError) as exc:
-        # ValueError here means malformed input files; config errors are
-        # mapped to UsageError before reaching the solvers
+        # ValueError here means a malformed input file: the geometry and
+        # solver settings taken from flags are checked, and mapped to
+        # UsageError, before any work starts
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except (NumericalFailure, FloatingPointError) as exc:

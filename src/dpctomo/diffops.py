@@ -16,8 +16,6 @@ vector (1, 0, 1, ..., 0, 1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .linops import LinearOperator, as_vector
@@ -29,17 +27,13 @@ class SingularBlockError(ValueError):
     """The requested blockwise solve is singular."""
 
 
-def _validate_scheme(scheme: str) -> str:
-    if scheme not in SCHEMES:
-        raise ValueError(f"unknown difference scheme {scheme!r}; expected one of {SCHEMES}")
-    return scheme
-
-
 class DiffOperator(LinearOperator):
     """Finite-difference operator acting independently on each angle block."""
 
     def __init__(self, scheme: str, k: int, l: int):
-        self.scheme = _validate_scheme(scheme)
+        if scheme not in SCHEMES:
+            raise ValueError(f"unknown difference scheme {scheme!r}; expected one of {SCHEMES}")
+        self.scheme = scheme
         k, l = int(k), int(l)
         if k < 2:
             raise ValueError(f"block size k must be >= 2, got {k}")
@@ -77,21 +71,6 @@ def make_diff(scheme: str, k: int, l: int) -> DiffOperator:
     return DiffOperator(scheme, k, l)
 
 
-def block_matrix(scheme: str, k: int) -> np.ndarray:
-    """Dense k-by-k stencil block (the non-identity Kronecker factor)."""
-    _validate_scheme(scheme)
-    if k < 2:
-        raise ValueError(f"block size k must be >= 2, got {k}")
-    t = np.zeros((k, k))
-    if scheme == "forward":
-        np.fill_diagonal(t, -1.0)
-        np.fill_diagonal(t[:, 1:], 1.0)
-    else:
-        np.fill_diagonal(t[:, 1:], 0.5)
-        np.fill_diagonal(t[1:, :], -0.5)
-    return t
-
-
 def invert_forward(b, k: int, l: int) -> np.ndarray:
     """Solve the blockwise forward-difference system exactly.
 
@@ -126,25 +105,3 @@ def invert_central(b, k: int, l: int) -> np.ndarray:
     out[:, 0::2] = -2.0 * np.cumsum(odd_rows[:, ::-1], axis=1)[:, ::-1]
     return out.ravel()
 
-
-@dataclass(frozen=True)
-class BlockInvertibility:
-    """Determinant and nullspace basis of a single dense stencil block."""
-
-    determinant: float
-    nullspace: np.ndarray  # shape (m, dim), orthonormal columns
-
-
-def block_invertibility(scheme: str, m: int, rank_tol: float = 1e-10) -> BlockInvertibility:
-    """Dense determinant and nullspace of the m-by-m stencil block.
-
-    Intended as a small-instance oracle; m is capped at 16.
-    """
-    if not 2 <= int(m) <= 16:
-        raise ValueError(f"block size must be in [2, 16] for the dense oracle, got {m}")
-    t = block_matrix(scheme, int(m))
-    det = float(np.linalg.det(t))
-    _, svals, vt = np.linalg.svd(t)
-    null_mask = svals <= rank_tol * svals[0]
-    basis = vt[null_mask].T.copy()
-    return BlockInvertibility(determinant=det, nullspace=basis)

@@ -16,7 +16,6 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-import struct
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -107,11 +106,15 @@ def read_sinogram(path) -> Sinogram:
 
 def write_report_csv(path, report: GBiTReport, run_id: str = "-") -> None:
     """Per-iteration trace; the rel_error and residual cells are empty
-    when the run had no truth or did not track the true residual."""
+    when the run had no truth or did not track the true residual.
+    ``lambda_used`` is the weight the iterate was solved with and
+    ``lambda`` the next one (see ``IterationRecord``)."""
     with open(path, "w", newline="") as fh:
         fh.write(f"# manifest: {run_id}\n")
         writer = csv.writer(fh)
-        writer.writerow(["iter", "phi0", "phi_lambda", "lambda", "rel_error", "residual"])
+        writer.writerow(
+            ["iter", "phi0", "phi_lambda", "lambda", "lambda_used", "rel_error", "residual"]
+        )
         for rec in report.records:
             writer.writerow(
                 [
@@ -119,6 +122,7 @@ def write_report_csv(path, report: GBiTReport, run_id: str = "-") -> None:
                     _fmt(rec.phi0),
                     _fmt(rec.phi_lambda),
                     _fmt(rec.lam),
+                    _fmt(rec.lam_used),
                     "" if rec.rel_error is None else _fmt(rec.rel_error),
                     "" if rec.residual is None else _fmt(rec.residual),
                 ]
@@ -136,6 +140,7 @@ def read_report_csv(path) -> list[dict]:
                     "phi0": float(row["phi0"]),
                     "phi_lambda": float(row["phi_lambda"]),
                     "lambda": float(row["lambda"]),
+                    "lambda_used": float(row["lambda_used"]),
                     "rel_error": float(row["rel_error"]) if row["rel_error"] else None,
                     "residual": float(row["residual"]) if row["residual"] else None,
                 }

@@ -11,14 +11,15 @@ near machine precision.
 Each outer iteration solves the projected problem twice, once
 unregularized and once with the current ridge weight (once only when
 that weight is zero), and updates the weight by a secant step aimed at
-the discrepancy target.  The projected systems are solved by Givens QR
-directly on the two coefficient sequences; the bidiagonal matrix is
-never formed densely in this path.
+the discrepancy target.  The penalty is the identity, so the ridge solve
+is a damped least-squares problem; both projected systems are solved by
+Givens QR directly on the two coefficient sequences, and the bidiagonal
+matrix is never formed densely.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -87,10 +88,6 @@ class BidiagDecomposition:
     def V(self) -> np.ndarray:
         return self._v[:, : self._nv]
 
-    def dense_projected(self) -> np.ndarray:
-        """The (k+1, k) bidiagonal matrix, materialized (oracle/testing use)."""
-        return dense_bidiagonal(self.alphas, self.betas)
-
     @staticmethod
     def _grow(arr: np.ndarray, needed: int) -> np.ndarray:
         if arr.shape[1] >= needed:
@@ -146,25 +143,6 @@ class BidiagDecomposition:
         self._nu = j + 2
         self._betas.append(beta)
         return True
-
-
-def bidiag_step(state: BidiagDecomposition) -> bool:
-    """Advance the decomposition one step; False signals breakdown."""
-    return state.step()
-
-
-def dense_bidiagonal(alphas, betas) -> np.ndarray:
-    """Materialize the (k+1, k) lower-bidiagonal matrix from its
-    coefficient sequences."""
-    alphas = np.asarray(alphas, dtype=np.float64)
-    betas = np.asarray(betas, dtype=np.float64)
-    k = alphas.size
-    if betas.size != k:
-        raise ValueError(f"expected {k} subdiagonal entries, got {betas.size}")
-    b = np.zeros((k + 1, k))
-    b[np.arange(k), np.arange(k)] = alphas
-    b[np.arange(1, k + 1), np.arange(k)] = betas
-    return b
 
 
 def _projected_residual(alphas, betas, y, rhs0) -> float:
@@ -226,17 +204,12 @@ def solve_lsqr_subproblem(alphas, betas, r0_norm):
     return _bidiag_least_squares(alphas, betas, float(r0_norm), damp=0.0)
 
 
-def solve_tikhonov_subproblem(alphas, betas, r0_norm, lam, regularizer=None, basis=None):
-    """Projected ridge solve min ||B y - r0_norm*e1||^2 + lam * ||L V y||^2.
+def solve_tikhonov_subproblem(alphas, betas, r0_norm, lam):
+    """Projected ridge solve min ||B y - r0_norm*e1||^2 + lam * ||y||^2,
+    run on the coefficient sequences with damp sqrt(lam).
 
-    With the default identity penalty the solve runs on the coefficient
-    sequences with damp sqrt(lam) and never touches the basis.  A general
-    ``regularizer`` requires ``basis`` (the stored V columns); that path
-    stacks the small dense system and solves it by least squares.
-
-    The reported residual is always that of the bidiagonal block alone,
-    which equals the full-space residual ||b - A x|| of the regularized
-    iterate.
+    The reported residual is that of the bidiagonal block alone, which
+    equals the full-space residual ||b - A x|| of the regularized iterate.
     """
     if lam < 0.0:
         raise ValueError(f"regularization weight must be nonnegative, got {lam}")
@@ -244,50 +217,26 @@ def solve_tikhonov_subproblem(alphas, betas, r0_norm, lam, regularizer=None, bas
     betas = np.asarray(betas, dtype=np.float64)
     if alphas.size < 1:
         raise ValueError("the decomposition holds no columns yet")
-    r0_norm = float(r0_norm)
-    if regularizer is None or lam == 0.0:
-        return _bidiag_least_squares(alphas, betas, r0_norm, damp=float(np.sqrt(lam)))
-    if basis is None:
-        raise ValueError("a non-identity regularizer needs the stored basis columns")
-    k = alphas.size
-    penalty = np.column_stack([regularizer.apply(basis[:, j]) for j in range(k)])
-    stacked = np.vstack([dense_bidiagonal(alphas, betas), np.sqrt(lam) * penalty])
-    rhs = np.zeros(stacked.shape[0])
-    rhs[0] = r0_norm
-    y = np.linalg.lstsq(stacked, rhs, rcond=None)[0]
-    return y, _projected_residual(alphas, betas, y, r0_norm)
+    return _bidiag_least_squares(alphas, betas, float(r0_norm), damp=float(np.sqrt(lam)))
 
 
-def secant_update_classic(lambda_prev, phi0, phi_lambda, eta, epsilon):
-    """One secant step toward the discrepancy target eta * epsilon.
+def secant_update(lambda_prev, phi0, phi_lambda, target):
+    """One secant step of the weight toward the residual ``target``.
 
-    The absolute value keeps the weight positive while the unregularized
-    residual still exceeds the target.  A flat secant (equal residuals)
-    leaves the weight unchanged; a vanishing numerator clamps to a tiny
-    positive multiple, since the multiplicative update cannot recover
-    from an exact zero.
+    The classic scheme aims at eta * epsilon, the alternative one at eta
+    times the previous unregularized residual (the initial residual norm
+    on the first iteration).  The absolute value keeps the weight
+    positive while the unregularized residual still exceeds the target.
+    A flat secant (equal residuals) leaves the weight unchanged; a
+    vanishing numerator clamps to a tiny positive multiple, since the
+    multiplicative update cannot recover from an exact zero.
     """
     if lambda_prev <= 0.0:
         raise ValueError(f"previous weight must be positive, got {lambda_prev}")
     denom = phi_lambda - phi0
     if denom == 0.0:
         return lambda_prev
-    lam = abs((eta * epsilon - phi0) / denom) * lambda_prev
-    if lam == 0.0:
-        lam = 1e-12 * lambda_prev
-    return lam
-
-
-def secant_update_alternative(lambda_prev, phi0_prev, phi0, phi_lambda, eta):
-    """Secant step against the previous unregularized residual instead of
-    a noise-norm estimate; use the initial residual norm for
-    ``phi0_prev`` on the first iteration."""
-    if lambda_prev <= 0.0:
-        raise ValueError(f"previous weight must be positive, got {lambda_prev}")
-    denom = phi_lambda - phi0
-    if denom == 0.0:
-        return lambda_prev
-    lam = abs((eta * phi0_prev - phi0) / denom) * lambda_prev
+    lam = abs((target - phi0) / denom) * lambda_prev
     if lam == 0.0:
         lam = 1e-12 * lambda_prev
     return lam
@@ -314,7 +263,6 @@ class GBiTConfig:
     max_iter: int = 100
     maxcounter: int = 3
     update_scheme: str = "classic"
-    regularizer: LinearOperator | None = None
     x0: np.ndarray | None = None
     x_true: np.ndarray | None = None
     track_residual: bool = False
@@ -347,10 +295,18 @@ class GBiTConfig:
 
 @dataclass(frozen=True)
 class IterationRecord:
+    """One iteration of the trace.
+
+    ``lam_used`` is the weight the iterate and ``phi_lambda`` were solved
+    with; ``lam`` is the next weight, chosen by the secant step from this
+    iteration's residuals, and so the ``lam_used`` of the next record.
+    """
+
     iteration: int
     phi0: float
     phi_lambda: float
     lam: float
+    lam_used: float
     rel_error: float | None = None
     residual: float | None = None
 
@@ -388,6 +344,8 @@ class GBiTReport:
 
     @property
     def final_lambda(self) -> float:
+        """The next weight after the last iteration, not the one the
+        returned iterate used (that is ``records[-1].lam_used``)."""
         return self.records[-1].lam if self.records else np.nan
 
     @property
@@ -461,18 +419,11 @@ def gbit_solve(A: LinearOperator, b, config: GBiTConfig | None = None):
             # the ridge solve at weight zero is the unregularized one
             y_lam, phi_lam = y0, phi0
         else:
-            y_lam, phi_lam = solve_tikhonov_subproblem(
-                alphas,
-                betas,
-                dec.r0_norm,
-                lam,
-                regularizer=config.regularizer,
-                basis=dec.V if config.regularizer is not None else None,
-            )
+            y_lam, phi_lam = solve_tikhonov_subproblem(alphas, betas, dec.r0_norm, lam)
         if config.update_scheme == "classic":
-            lam_next = secant_update_classic(lam, phi0, phi_lam, config.eta, config.epsilon)
+            lam_next = secant_update(lam, phi0, phi_lam, config.eta * config.epsilon)
         elif config.update_scheme == "alternative":
-            lam_next = secant_update_alternative(lam, phi0_prev, phi0, phi_lam, config.eta)
+            lam_next = secant_update(lam, phi0, phi_lam, config.eta * phi0_prev)
         else:
             lam_next = lam
         _require_finite(phi0=phi0, phi_lambda=phi_lam, lam=lam_next)
@@ -486,7 +437,7 @@ def gbit_solve(A: LinearOperator, b, config: GBiTConfig | None = None):
                 rel_error = float(np.linalg.norm(x_it - x_true) / true_norm)
             if config.track_residual:
                 residual = float(np.linalg.norm(b - A.apply(x_it)))
-        records.append(IterationRecord(it, phi0, phi_lam, lam_next, rel_error, residual))
+        records.append(IterationRecord(it, phi0, phi_lam, lam_next, lam, rel_error, residual))
 
         if config.update_scheme == "classic":
             met = phi_lam < config.eta * config.epsilon

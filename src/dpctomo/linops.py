@@ -5,9 +5,6 @@ pair ``apply`` / ``apply_transpose``.  Operators are immutable after
 construction; compositions keep references to their factors, so a product
 like ``compose(D, R)`` is applied factor by factor and the product matrix
 is never materialized.
-
-``densify`` probes an operator with basis vectors and is the universal
-small-instance oracle used throughout the test suite.
 """
 
 from __future__ import annotations
@@ -73,17 +70,6 @@ class LinearOperator:
         return f"<{type(self).__name__} {self._rows}x{self._cols}>"
 
 
-class IdentityOperator(LinearOperator):
-    def __init__(self, n: int):
-        super().__init__(n, n)
-
-    def apply(self, x):
-        return as_vector(x, self.cols, repr(self)).copy()
-
-    def apply_transpose(self, y):
-        return as_vector(y, self.rows, repr(self)).copy()
-
-
 class MatrixOperator(LinearOperator):
     """Dense matrix wrapped as an operator (row-major float64 storage)."""
 
@@ -122,51 +108,7 @@ class ComposedOperator(LinearOperator):
         return self.right.apply_transpose(self.left.apply_transpose(y))
 
 
-class KronBlockOperator(LinearOperator):
-    """Kronecker product of an ``l``-fold identity with a square block.
-
-    Applies the ``k``-by-``k`` block independently to each of ``l``
-    contiguous length-``k`` segments of the input vector.
-    """
-
-    def __init__(self, block, l: int):
-        b = np.array(block, dtype=np.float64, order="C", copy=True)
-        if b.ndim != 2 or b.shape[0] != b.shape[1]:
-            raise ValueError(f"block must be square, got shape {b.shape}")
-        if int(l) < 1:
-            raise ValueError(f"number of blocks must be >= 1, got {l}")
-        b.setflags(write=False)
-        k = b.shape[0]
-        super().__init__(k * int(l), k * int(l))
-        self.block = b
-        self.k = k
-        self.l = int(l)
-
-    def apply(self, x):
-        segs = as_vector(x, self.cols, repr(self)).reshape(self.l, self.k)
-        return (segs @ self.block.T).ravel()
-
-    def apply_transpose(self, y):
-        segs = as_vector(y, self.rows, repr(self)).reshape(self.l, self.k)
-        return (segs @ self.block).ravel()
-
-
 def compose(left: LinearOperator, right: LinearOperator) -> ComposedOperator:
     """Operator product with shape check; raises ShapeMismatchError on mismatch."""
     return ComposedOperator(left, right)
 
-
-def kron_identity_blocks(block, l: int) -> KronBlockOperator:
-    """Blockwise operator applying ``block`` to each of ``l`` segments."""
-    return KronBlockOperator(block, l)
-
-
-def densify(op: LinearOperator) -> np.ndarray:
-    """Materialize an operator column by column with basis-vector probes."""
-    cols = np.empty((op.rows, op.cols))
-    e = np.zeros(op.cols)
-    for j in range(op.cols):
-        e[j] = 1.0
-        cols[:, j] = op.apply(e)
-        e[j] = 0.0
-    return cols

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -300,13 +300,3 @@ def project(op: ParallelProjector, img: Image) -> Sinogram:
         )
     return Sinogram(k=geom.k, l=geom.l, values=op.apply(img.values), h=geom.h)
 
-
-def backproject(op: ParallelProjector, sino: Sinogram) -> Image:
-    """Unfiltered adjoint R^T b accumulated on the pixel grid."""
-    geom = op.geometry
-    if (sino.k, sino.l) != (geom.k, geom.l):
-        raise ShapeMismatchError(
-            f"sinogram layout k={sino.k}, l={sino.l} does not match projector "
-            f"layout k={geom.k}, l={geom.l}"
-        )
-    return Image(n_x=geom.n_x, n_y=geom.n_y, values=op.apply_transpose(sino.values))

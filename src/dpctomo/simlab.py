@@ -247,26 +247,21 @@ def _solver_params(params: dict) -> dict:
     return defaults
 
 
-def _single_projection_profile(size: int, detectors: int, variant: str):
-    phantom = make_phantom(PhantomSpec(variant=variant, size=size))
-    geom = ProjectionGeometry(
-        n_x=size, n_y=size, k=detectors, angles=np.array([np.pi / 2.0])
-    )
-    y = project(build_projector(geom), phantom).values
-    return phantom, geom, y
-
-
 def _run_single_projection(arm_labels, **params) -> ExperimentResult:
     size = int(params.get("size", 256))
     detectors = int(params.get("detectors", size))
     variant = params.get("variant", "shepp_logan_modified")
     omega = float(params.get("omega", 0.2))
+    model_error = ModelErrorSpec(omega=omega)
     noise_level = float(params.get("noise", 0.10))
     offset = float(params.get("offset", 5.0))
     seed = int(params.get("seed", 0))
     solver = _solver_params(params)
 
-    phantom, geom, y = _single_projection_profile(size, detectors, variant)
+    phantom = make_phantom(PhantomSpec(variant=variant, size=size))
+    geom = ProjectionGeometry(n_x=size, n_y=size, k=detectors, angles=np.array([np.pi / 2.0]))
+    projector = build_projector(geom)
+    y = project(projector, phantom).values
     ops = {
         "forward": make_diff("forward", geom.k, geom.l),
         "central": make_diff("central", geom.k, geom.l),
@@ -280,9 +275,8 @@ def _run_single_projection(arm_labels, **params) -> ExperimentResult:
     )
     for arm in arm_labels:
         if arm == "model_error":
-            mixed_f = (1.0 - omega) * clean["forward"] + omega * clean["central"]
-            mixed_c = omega * clean["forward"] + (1.0 - omega) * clean["central"]
-            data = {"forward": mixed_f, "central": mixed_c}
+            mixed = generate_dpc_data(phantom, geom, model_error, projector=projector)
+            data = {"forward": mixed[0].values, "central": mixed[1].values}
         else:
             spec = NoiseSpec(
                 level=noise_level,

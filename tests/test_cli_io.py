@@ -77,8 +77,8 @@ class TestFileFormats:
 
     def test_report_csv_roundtrip(self, tmp_path):
         records = [
-            IterationRecord(1, 2.5, 3.5, 0.125, None, None),
-            IterationRecord(2, 1.25, 1.75, 0.5, 0.375, None),
+            IterationRecord(1, 2.5, 3.5, 0.125, 1.0, None, None),
+            IterationRecord(2, 1.25, 1.75, 0.5, 0.125, 0.375, None),
         ]
         report = GBiTReport(records, "max_iter", np.zeros(2), 4.0)
         path = tmp_path / "trace.csv"
@@ -86,14 +86,14 @@ class TestFileFormats:
         rows = read_report_csv(path)
         assert rows[0]["rel_error"] is None
         assert rows[1] == {
-            "iter": 2, "phi0": 1.25, "phi_lambda": 1.75, "lambda": 0.5, "rel_error": 0.375,
-            "residual": None,
+            "iter": 2, "phi0": 1.25, "phi_lambda": 1.75, "lambda": 0.5, "lambda_used": 0.125,
+            "rel_error": 0.375, "residual": None,
         }
 
     def test_report_csv_residual_roundtrip(self, tmp_path):
         records = [
-            IterationRecord(1, 2.5, 3.5, 0.125, None, 3.5000000000000004),
-            IterationRecord(2, 1.25, 1.75, 0.5, 0.375, 1.7499999999999998),
+            IterationRecord(1, 2.5, 3.5, 0.125, 1.0, None, 3.5000000000000004),
+            IterationRecord(2, 1.25, 1.75, 0.5, 0.125, 0.375, 1.7499999999999998),
         ]
         path = tmp_path / "trace.csv"
         write_report_csv(path, GBiTReport(records, "max_iter", np.zeros(2), 4.0))
@@ -224,6 +224,24 @@ class TestSimulateCommand:
         )
         assert result.returncode == 3
 
+    def test_zero_detectors_is_usage_error(self, tmp_path):
+        phantom_path = tmp_path / "p.txt"
+        run_cli("phantom", "--size", 16, "--out", phantom_path)
+        result = run_cli(
+            "simulate", "--phantom", phantom_path, "--angles", 10,
+            "--detectors", 0, "--out", tmp_path / "s.sino",
+        )
+        assert result.returncode == 2
+        assert "usage error" in result.stderr and "detector" in result.stderr
+
+    def test_malformed_phantom_is_io_error(self, tmp_path):
+        phantom_path = tmp_path / "p.txt"
+        phantom_path.write_text("DPCTOMO-IMAGE-1 -\n2\n2\n1.0\nnot-a-number\n0\n0\n")
+        result = run_cli(
+            "simulate", "--phantom", phantom_path, "--angles", 10, "--out", tmp_path / "s.sino",
+        )
+        assert result.returncode == 3
+
 
 class TestReconstructCommand:
     def test_lsqr_on_noiseless_data_converges(self, tmp_path):
@@ -285,6 +303,18 @@ class TestReconstructCommand:
         rows = read_report_csv(f"{prefix}.report.csv")
         assert rows[-1]["rel_error"] is not None
         assert all(row["lambda"] > 0.0 for row in rows)
+        assert rows[0]["lambda_used"] == 1.0
+        assert all(row["lambda_used"] == prev["lambda"] for prev, row in zip(rows, rows[1:]))
+
+    def test_lsqr_zero_iterations_is_usage_error(self, pipeline, tmp_path):
+        _, _, sino_path = pipeline
+        result = run_cli(
+            "reconstruct", "--sino", sino_path, "--solver", "lsqr", "--max-iter", 0,
+            "--out", tmp_path / "rec",
+        )
+        assert result.returncode == 2
+        assert "usage error" in result.stderr and "max_iter" in result.stderr
+        assert not (tmp_path / "rec.image.txt").exists()
 
     def test_gbit_classic_without_epsilon_is_usage_error(self, pipeline):
         root, _, sino_path = pipeline

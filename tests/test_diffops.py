@@ -3,15 +3,8 @@
 import numpy as np
 import pytest
 
-from dpctomo.diffops import (
-    SingularBlockError,
-    block_invertibility,
-    block_matrix,
-    invert_central,
-    invert_forward,
-    make_diff,
-)
-from dpctomo.linops import densify
+from dpctomo.diffops import SingularBlockError, invert_central, invert_forward, make_diff
+from oracles import block_invertibility, block_matrix, densify
 
 
 def dense_operator(scheme, k, l):

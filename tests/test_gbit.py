@@ -6,16 +6,14 @@ import pytest
 from dpctomo.gbit import (
     BidiagDecomposition,
     GBiTConfig,
-    bidiag_step,
-    dense_bidiagonal,
     gbit_solve,
     lsqr_solve,
-    secant_update_alternative,
-    secant_update_classic,
+    secant_update,
     solve_lsqr_subproblem,
     solve_tikhonov_subproblem,
 )
-from dpctomo.linops import IdentityOperator, MatrixOperator
+from dpctomo.linops import MatrixOperator
+from oracles import dense_bidiagonal
 
 
 def decompose(matrix, rhs, steps):
@@ -28,8 +26,8 @@ def decompose(matrix, rhs, steps):
 
 class TestBidiagDecomposition:
     def test_identity_breaks_down_after_one_step(self):
-        dec = BidiagDecomposition(IdentityOperator(3), [1.0, 0.0, 0.0])
-        assert bidiag_step(dec) is False
+        dec = BidiagDecomposition(MatrixOperator(np.eye(3)), [1.0, 0.0, 0.0])
+        assert dec.step() is False
         assert dec.breakdown == "beta"
         np.testing.assert_array_equal(dec.alphas, [1.0])
         np.testing.assert_array_equal(dec.betas, [0.0])
@@ -48,7 +46,7 @@ class TestBidiagDecomposition:
         a = rng.standard_normal((12, 7))
         dec = decompose(a, rng.standard_normal(12), steps=7)
         assert dec.k == 7
-        b = dec.dense_projected()
+        b = dense_bidiagonal(dec.alphas, dec.betas)
         rel = np.linalg.norm(a @ dec.V - dec.U @ b) / np.linalg.norm(a)
         assert rel <= 1e-10
         assert np.abs(dec.V.T @ dec.V - np.eye(7)).max() <= 1e-10
@@ -138,50 +136,36 @@ class TestProjectedSolves:
         x_ref = np.linalg.solve(a.T @ a + lam * np.eye(6), a.T @ b + lam * x0)
         assert np.linalg.norm(x - x_ref) <= 1e-8 * np.linalg.norm(x_ref)
 
-    def test_general_penalty_matches_dense_stacked_solve(self):
-        rng = np.random.default_rng(21)
-        a = rng.standard_normal((9, 5))
-        b = rng.standard_normal(9)
-        reg = rng.standard_normal((7, 5))
-        lam = 0.8
-        dec = BidiagDecomposition(MatrixOperator(a), b)
-        for _ in range(5):
-            dec.step()
-        y, phi = solve_tikhonov_subproblem(
-            dec.alphas, dec.betas, dec.r0_norm, lam,
-            regularizer=MatrixOperator(reg), basis=dec.V,
-        )
-        x = dec.V @ y
-        x_ref = np.linalg.solve(a.T @ a + lam * reg.T @ reg, a.T @ b)
-        assert np.linalg.norm(x - x_ref) <= 1e-8 * np.linalg.norm(x_ref)
-        assert abs(phi - np.linalg.norm(b - a @ x)) <= 1e-8 * np.linalg.norm(b)
-
 
 class TestSecantUpdates:
+    """The classic scheme aims at eta * epsilon, the alternative one at
+    eta * phi0_prev; both reach ``secant_update`` as its ``target``."""
+
     def test_classic_formula(self):
-        assert secant_update_classic(2.0, 3.0, 5.0, 1.0, 1.0) == pytest.approx(2.0)
+        assert secant_update(2.0, 3.0, 5.0, 1.0 * 1.0) == pytest.approx(2.0)
 
     def test_classic_zero_numerator_clamps(self):
-        lam = secant_update_classic(2.0, 1.0, 5.0, 1.0, 1.0)
+        lam = secant_update(2.0, 1.0, 5.0, 1.0 * 1.0)
         assert lam == pytest.approx(2e-12)
 
     def test_classic_fixed_point_when_target_met_exactly(self):
         # phi_lambda == eta * epsilon makes the ratio one
-        assert secant_update_classic(3.0, 0.5, 2.0, 1.0, 2.0) == pytest.approx(3.0)
+        assert secant_update(3.0, 0.5, 2.0, 1.0 * 2.0) == pytest.approx(3.0)
 
     def test_classic_flat_secant_keeps_weight(self):
-        assert secant_update_classic(4.0, 2.0, 2.0, 1.5, 1.0) == 4.0
+        assert secant_update(4.0, 2.0, 2.0, 1.5 * 1.0) == 4.0
 
     def test_alternative_formula(self):
-        lam = secant_update_alternative(4.0, 2.0, 1.5, 2.5, 1.0)
+        # lambda_prev 4, phi0_prev 2, phi0 1.5, phi_lambda 2.5, eta 1
+        lam = secant_update(4.0, 1.5, 2.5, 1.0 * 2.0)
         assert lam == pytest.approx(2.0)
 
     def test_alternative_flat_secant_keeps_weight(self):
-        assert secant_update_alternative(4.0, 2.0, 2.0, 2.0, 1.0) == 4.0
+        assert secant_update(4.0, 2.0, 2.0, 1.0 * 2.0) == 4.0
 
     def test_rejects_nonpositive_previous_weight(self):
         with pytest.raises(ValueError):
-            secant_update_classic(0.0, 1.0, 2.0, 1.0, 1.0)
+            secant_update(0.0, 1.0, 2.0, 1.0 * 1.0)
 
 
 class TestGBiTSolve:
@@ -239,6 +223,30 @@ class TestGBiTSolve:
         norm_b = np.linalg.norm(b)
         for rec in report.records:
             assert abs(rec.residual - rec.phi_lambda) / norm_b <= 1e-8
+
+    def test_trace_names_the_weight_each_iterate_used(self):
+        rng = np.random.default_rng(5)
+        a = rng.standard_normal((40, 20))
+        u, s, vt = np.linalg.svd(a, full_matrices=False)
+        a = (u * (s * np.exp(-np.arange(20) / 4.0))) @ vt
+        b_clean = a @ vt[:3].sum(axis=0)
+        e = rng.standard_normal(40)
+        b = b_clean + 0.05 * np.linalg.norm(b_clean) / np.linalg.norm(e) * e
+        config = GBiTConfig(eta=1.01, epsilon=np.linalg.norm(b - b_clean), lambda0=0.5)
+        x, report = gbit_solve(MatrixOperator(a), b, config)
+        records = report.records
+        assert report.termination == "discrepancy_met" and len(records) >= 3
+        assert records[0].lam_used == config.lambda0
+        for prev, rec in zip(records, records[1:]):
+            assert rec.lam_used == prev.lam
+        # the returned iterate is the ridge solve at the last weight used
+        rerun = GBiTConfig(
+            update_scheme="fixed", lambda0=records[-1].lam_used, max_iter=len(records)
+        )
+        x_fixed, _ = gbit_solve(MatrixOperator(a), b, rerun)
+        np.testing.assert_array_equal(x_fixed, x)
+        _, rep_lsqr = lsqr_solve(MatrixOperator(a), b, iters=4)
+        assert [r.lam_used for r in rep_lsqr.records] == [0.0] * 4
 
     def test_zero_weight_run_equals_lsqr_bit_for_bit(self):
         rng = np.random.default_rng(12)
@@ -312,7 +320,7 @@ class TestLSQR:
 
     def test_identity_recovers_in_one_iteration(self):
         b = np.array([1.0, 2.0, 3.0, 4.0])
-        x, report = lsqr_solve(IdentityOperator(4), b, iters=5)
+        x, report = lsqr_solve(MatrixOperator(np.eye(4)), b, iters=5)
         np.testing.assert_allclose(x, b, rtol=1e-14)
         assert report.iterations == 1
         assert report.termination == "breakdown"

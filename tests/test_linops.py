@@ -3,16 +3,9 @@
 import numpy as np
 import pytest
 
-from dpctomo.linops import (
-    IdentityOperator,
-    KronBlockOperator,
-    MatrixOperator,
-    ShapeMismatchError,
-    compose,
-    densify,
-    kron_identity_blocks,
-)
-from dpctomo.diffops import block_matrix, make_diff
+from dpctomo.diffops import DiffOperator, make_diff
+from dpctomo.linops import MatrixOperator, ShapeMismatchError, compose
+from oracles import block_matrix, densify
 
 
 def forward_block(k):
@@ -21,7 +14,7 @@ def forward_block(k):
 
 class TestCompose:
     def test_identity_composition(self):
-        op = compose(IdentityOperator(3), IdentityOperator(3))
+        op = compose(MatrixOperator(np.eye(3)), MatrixOperator(np.eye(3)))
         np.testing.assert_allclose(op.apply([1.0, 2.0, 3.0]), [1.0, 2.0, 3.0])
 
     def test_matches_dense_product(self):
@@ -49,22 +42,31 @@ class TestCompose:
 
 
 class TestKronIdentityBlocks:
+    """The difference operators are I_l (x) T: one stencil block T applied
+    to each of l contiguous segments."""
+
     def test_identity_block(self):
-        op = kron_identity_blocks(np.eye(2), 3)
-        x = np.arange(1.0, 7.0)
-        np.testing.assert_array_equal(op.apply(x), x)
+        # the identity factor keeps the blocks apart: data in one block
+        # never leaks into another
+        op = make_diff("forward", 3, 4)
+        x = np.zeros(12)
+        x[6:9] = [1.0, 2.0, 4.0]
+        out = op.apply(x)
+        np.testing.assert_array_equal(out[6:9], forward_block(3) @ x[6:9])
+        np.testing.assert_array_equal(np.delete(out, range(6, 9)), np.zeros(9))
 
     def test_swap_block_against_dense_kron(self):
-        block = np.array([[0.0, 1.0], [1.0, 0.0]])
-        op = kron_identity_blocks(block, 2)
-        np.testing.assert_array_equal(op.apply([1.0, 2.0, 3.0, 4.0]), [2.0, 1.0, 4.0, 3.0])
+        # the size-2 central block is a signed, half-weighted swap
+        block = np.array([[0.0, 0.5], [-0.5, 0.0]])
+        op = make_diff("central", 2, 2)
+        np.testing.assert_array_equal(op.apply([1.0, 2.0, 3.0, 4.0]), [1.0, -0.5, 2.0, -1.5])
         dense = np.kron(np.eye(2), block)
         rng = np.random.default_rng(3)
         x = rng.standard_normal(4)
         np.testing.assert_allclose(op.apply(x), dense @ x, rtol=1e-12)
 
     def test_adjoint_consistency_difference_block(self):
-        op = kron_identity_blocks(forward_block(4), 2)
+        op = make_diff("forward", 4, 2)
         rng = np.random.default_rng(11)
         x = rng.standard_normal(8)
         y = rng.standard_normal(8)
@@ -72,11 +74,11 @@ class TestKronIdentityBlocks:
         rhs = np.dot(x, op.apply_transpose(y))
         assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), 1.0)
 
-    def test_rejects_zero_blocks_and_nonsquare(self):
+    def test_rejects_zero_blocks_and_short_blocks(self):
         with pytest.raises(ValueError):
-            kron_identity_blocks(np.eye(2), 0)
+            make_diff("forward", 2, 0)
         with pytest.raises(ValueError):
-            kron_identity_blocks(np.zeros((2, 3)), 2)
+            make_diff("forward", 1, 2)
 
 
 def _operator_zoo(seed):
@@ -85,14 +87,14 @@ def _operator_zoo(seed):
     m, n = int(rng.integers(2, 9)), int(rng.integers(2, 9))
     k, l = int(rng.integers(2, 5)), int(rng.integers(1, 4))
     dense = MatrixOperator(rng.standard_normal((m, n)))
-    kron = KronBlockOperator(rng.standard_normal((k, k)), l)
+    diff = DiffOperator(("forward", "central")[seed % 2], k, l)
     middle = MatrixOperator(rng.standard_normal((k * l, n)))
     return [
-        IdentityOperator(n),
+        MatrixOperator(np.eye(n)),
         dense,
-        kron,
-        compose(kron, middle),
-        compose(dense, IdentityOperator(n)),
+        diff,
+        compose(diff, middle),
+        compose(dense, MatrixOperator(np.eye(n))),
     ]
 
 

@@ -12,21 +12,23 @@ import sys
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 
-from dpctomo.linops import ShapeMismatchError, densify
+from dpctomo.diffops import make_diff
+from dpctomo.linops import ShapeMismatchError, compose
 from dpctomo.projector import (
     Image,
     ProjectionGeometry,
     Sinogram,
     _assemble_weights,
     _trace_angle,
-    backproject,
     build_projector,
     project,
     standard_geometry,
     uniform_angles,
 )
 from dpctomo.simlab import PhantomSpec, make_phantom
+from oracles import densify
 
 
 def clipping_oracle(geom):
@@ -232,6 +234,85 @@ class TestGeometricInvariants:
         assert np.all(outer == 0.0)
 
 
+@st.composite
+def geometries(draw):
+    """Small geometries with a non-square grid, k unequal to either grid
+    side, and pixel size and detector spacing other than 1."""
+    n_x = draw(st.integers(1, 9))
+    n_y = draw(st.integers(1, 9).filter(lambda v: v != n_x))
+    k = draw(st.integers(2, 13).filter(lambda v: v not in (n_x, n_y)))
+    # binary fractions put rays exactly on grid lines and on the edge
+    spacing = st.one_of(
+        st.sampled_from([0.5, 2.0]), st.floats(0.25, 2.5).filter(lambda v: v != 1.0)
+    )
+    angle = st.one_of(
+        st.sampled_from([0.0, np.pi / 4.0, np.pi / 2.0, 3.0 * np.pi / 4.0]),
+        st.floats(0.0, np.pi, exclude_max=True),
+    )
+    return ProjectionGeometry(
+        n_x=n_x, n_y=n_y, k=k, angles=draw(st.lists(angle, min_size=1, max_size=5)),
+        pixel_size=draw(spacing), h=draw(spacing),
+    )
+
+
+def chord_lengths(geom, edge_tol=1e-9):
+    """Analytic length of each ray inside the grid rectangle, angle-major;
+    NaN for a ray within ``edge_tol`` of the rectangle's outer edge, whose
+    traced length depends on rounding."""
+    half_w, half_h = 0.5 * geom.n_x * geom.pixel_size, 0.5 * geom.n_y * geom.pixel_size
+    t = (np.arange(geom.k) - 0.5 * (geom.k - 1)) * geom.h
+    out = []
+    for theta in geom.angles:
+        c, s = np.cos(theta), np.sin(theta)
+        # the rectangle spans |t| <= reach along the detector direction
+        reach = half_w * abs(c) + half_h * abs(s)
+        for ti in t:
+            lo, hi = -np.inf, np.inf
+            for p, d, half in ((ti * c, -s, half_w), (ti * s, c, half_h)):
+                if d == 0.0:
+                    hi = hi if abs(p) <= half else -np.inf
+                else:
+                    a, b = sorted(((-half - p) / d, (half - p) / d))
+                    lo, hi = max(lo, a), min(hi, b)
+            grazing = abs(abs(ti) - reach) <= edge_tol
+            out.append(np.nan if grazing else max(hi - lo, 0.0))
+    return np.array(out)
+
+
+def assert_adjoint(op, seed):
+    rng = np.random.default_rng(seed)
+    x, y = rng.standard_normal(op.cols), rng.standard_normal(op.rows)
+    ax = op.apply(x)
+    lhs, rhs = np.dot(ax, y), np.dot(x, op.apply_transpose(y))
+    assert abs(lhs - rhs) <= 1e-12 * np.linalg.norm(ax) * np.linalg.norm(y)
+
+
+# few examples, drawn the same way every run, keep the suite fast and steady
+PROPERTY = settings(max_examples=50, deadline=None, derandomize=True, database=None)
+
+
+class TestProperties:
+    @PROPERTY
+    @given(geom=geometries(), seed=st.integers(0, 2**32 - 1))
+    def test_projector_adjoint_identity(self, geom, seed):
+        assert_adjoint(build_projector(geom), seed)
+
+    @pytest.mark.parametrize("scheme", ["forward", "central"])
+    @PROPERTY
+    @given(geom=geometries(), seed=st.integers(0, 2**32 - 1))
+    def test_differenced_model_adjoint_identity(self, scheme, geom, seed):
+        R = build_projector(geom)
+        assert_adjoint(compose(make_diff(scheme, geom.k, geom.l), R), seed)
+
+    @PROPERTY
+    @given(geom=geometries())
+    def test_rows_sum_to_chord_length(self, geom):
+        row_sums = build_projector(geom).apply(np.ones(geom.n))
+        expected = chord_lengths(geom)
+        kept = ~np.isnan(expected)
+        np.testing.assert_allclose(row_sums[kept], expected[kept], rtol=0, atol=1e-9)
+
+
 class TestDataTypes:
     def test_image_matrix_roundtrip_column_major(self):
         matrix = np.arange(6.0).reshape(2, 3)
@@ -259,5 +340,3 @@ class TestDataTypes:
         op = build_projector(geom)
         with pytest.raises(ShapeMismatchError):
             project(op, Image(n_x=5, n_y=5, values=np.zeros(25)))
-        with pytest.raises(ShapeMismatchError):
-            backproject(op, Sinogram(k=3, l=3, values=np.zeros(9)))

@@ -162,6 +162,11 @@ class TestExperiments:
         with pytest.raises(ValueError):
             run_experiment("full_3d")
 
+    @pytest.mark.parametrize("name", ["single_projection", "full_ct"])
+    def test_mixing_weight_out_of_range_rejected(self, name):
+        with pytest.raises(ValueError, match="omega"):
+            run_experiment(name, size=16, angles=4, omega=0.5)
+
     def test_noiseless_models_are_recovered(self):
         # exact data, no mixing: the unregularized solver inverts both
         # difference models to the projection profile
