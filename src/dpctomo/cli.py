@@ -159,6 +159,9 @@ def cmd_simulate(args) -> int:
         raise UsageError(f"--noise must be >= 0, got {args.noise}")
     if args.angles < 1:
         raise UsageError(f"--angles must be >= 1, got {args.angles}")
+    if args.detectors is not None and args.detectors < 2:
+        # the difference stencils need blocks of at least two detectors
+        raise UsageError(f"--detectors must be >= 2, got {args.detectors}")
     image = read_image(args.phantom)
     detectors = args.detectors if args.detectors is not None else image.n_x
     config = {
@@ -352,10 +355,12 @@ def cmd_reconstruct(args) -> int:
                 x, report = gbit_solve(operator, rhs, solver_config)
             if report.termination == "breakdown" and not report.records:
                 raise NumericalFailure(
-                    "bidiagonalization broke down before producing any iterate"
+                    f"bidiagonalization broke down ({report.breakdown}) before "
+                    "producing any iterate"
                 )
             image_out = Image(n_x=n_x, n_y=n_y, values=x)
             extra["termination"] = report.termination
+            extra["breakdown"] = report.breakdown
             extra["iterations"] = report.iterations
             if report.records and report.records[-1].rel_error is not None:
                 extra["final_rel_error"] = report.records[-1].rel_error

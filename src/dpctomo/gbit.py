@@ -6,7 +6,9 @@ from the normalized initial residual.  Both basis sequences are
 reorthogonalized (classical Gram-Schmidt, applied twice, against all
 stored columns), which keeps the projected residual of the small
 bidiagonal problem equal to the true residual of the full problem to
-near machine precision.
+near machine precision.  ``gbit_solve`` allocates each basis once, with
+room for its iteration cap; a decomposition made without a capacity
+doubles its bases as it grows.
 
 Each outer iteration solves the projected problem twice, once
 unregularized and once with the current ridge weight (once only when
@@ -14,7 +16,9 @@ that weight is zero), and updates the weight by a secant step aimed at
 the discrepancy target.  The penalty is the identity, so the ridge solve
 is a damped least-squares problem; both projected systems are solved by
 Givens QR directly on the two coefficient sequences, and the bidiagonal
-matrix is never formed densely.
+matrix is never formed densely.  The undamped QR is kept across
+iterations and gains one rotation per step, as in LSQR; the damped one
+is swept afresh, since its first rotation already depends on the weight.
 """
 
 from __future__ import annotations
@@ -41,10 +45,15 @@ class BidiagDecomposition:
     pair).  Breakdown while forming ``v_k`` adds no column; breakdown
     while forming ``u_{k+1}`` keeps ``v_k`` and records a zero
     subdiagonal entry, so the projected problem of size ``k`` is still
-    solvable.
+    solvable.  ``breakdown`` names the cause: ``zero_residual``,
+    ``alpha`` or ``beta``.
+
+    ``capacity`` is the number of steps the bases are allocated for at
+    once; without it, or past it, they double as needed.  Columns past
+    the used count are never read.
     """
 
-    def __init__(self, operator: LinearOperator, rhs, x0=None):
+    def __init__(self, operator: LinearOperator, rhs, x0=None, capacity: int | None = None):
         self.operator = operator
         b = as_vector(rhs, operator.rows, "right-hand side")
         if x0 is not None:
@@ -57,8 +66,9 @@ class BidiagDecomposition:
         self._betas: list[float] = []
         self._scale: float | None = None
         m, n = operator.rows, operator.cols
-        self._u = np.zeros((m, 9), order="F")
-        self._v = np.zeros((n, 8), order="F")
+        steps = 8 if capacity is None else max(1, int(capacity))
+        self._u = np.empty((m, steps + 1), order="F")
+        self._v = np.empty((n, steps), order="F")
         self._nu = 0
         self._nv = 0
         if self.r0_norm == 0.0:
@@ -92,7 +102,7 @@ class BidiagDecomposition:
     def _grow(arr: np.ndarray, needed: int) -> np.ndarray:
         if arr.shape[1] >= needed:
             return arr
-        new = np.zeros((arr.shape[0], max(needed, 2 * arr.shape[1])), order="F")
+        new = np.empty((arr.shape[0], max(needed, 2 * arr.shape[1])), order="F")
         new[:, : arr.shape[1]] = arr
         return new
 
@@ -145,6 +155,70 @@ class BidiagDecomposition:
         return True
 
 
+class BidiagQR:
+    """Givens QR of the damped bidiagonal ``[B; damp*I]``, column by column.
+
+    Column ``i`` takes the rotation that merges the damping entry (when
+    ``damp > 0``) and then the one that eliminates ``beta_i``.  Earlier
+    rotations never change as the decomposition grows, so ``extend`` adds
+    only the new columns: one rotation per step when undamped, as in
+    LSQR.  The arithmetic runs on Python floats in the order of a sweep
+    over all columns, so the factors do not depend on how the columns
+    arrived.  ``np.hypot`` is kept because ``math.hypot`` rounds some
+    pairs differently.  Zero pivots (possible only after breakdown) give
+    the minimum-norm completion with ``y_i = 0``.
+    """
+
+    def __init__(self, rhs0: float, damp: float = 0.0):
+        self.damp = damp
+        self._rho: list[float] = []
+        self._theta: list[float] = [0.0]  # theta[i] is R[i-1, i]
+        self._phi: list[float] = []
+        self._c = self._s = 0.0
+        self._phibar = rhs0
+
+    def extend(self, alphas, betas) -> "BidiagQR":
+        """Rotate in the columns of the sequences not yet factored."""
+        done = len(self._rho)
+        if alphas.size < done:
+            raise ValueError(f"the factorization holds {done} columns, more than {alphas.size}")
+        damp = self.damp
+        for i in range(done, alphas.size):
+            alpha = float(alphas[i])
+            if i == 0:
+                rhobar = alpha
+            else:
+                self._theta.append(self._s * alpha)
+                rhobar = self._c * alpha
+            phibar = self._phibar
+            if damp > 0.0:
+                merged = float(np.hypot(rhobar, damp))
+                phibar *= rhobar / merged
+                rhobar = merged
+            beta = float(betas[i])
+            r = float(np.hypot(rhobar, beta))
+            if r == 0.0:
+                c, s = 1.0, 0.0
+            else:
+                c, s = rhobar / r, beta / r
+            self._rho.append(r)
+            self._phi.append(c * phibar)
+            self._phibar = -s * phibar
+            self._c, self._s = c, s
+        return self
+
+    def solve(self) -> np.ndarray:
+        """Back-substitution through the triangular factor."""
+        rho, theta, phi = self._rho, self._theta, self._phi
+        k = len(rho)
+        y = [0.0] * k
+        for i in range(k - 1, -1, -1):
+            if rho[i] > 0.0:
+                carry = theta[i + 1] * y[i + 1] if i + 1 < k else 0.0
+                y[i] = (phi[i] - carry) / rho[i]
+        return np.array(y)
+
+
 def _projected_residual(alphas, betas, y, rhs0) -> float:
     """Residual norm of the projected system, ||B y - rhs0 * e1||."""
     k = alphas.size
@@ -156,52 +230,27 @@ def _projected_residual(alphas, betas, y, rhs0) -> float:
     return float(np.linalg.norm(r))
 
 
-def _bidiag_least_squares(alphas, betas, rhs0, damp=0.0):
-    """Solve min || [B; damp*I] y - [rhs0*e1; 0] || by Givens QR on the
-    coefficient sequences.
-
-    Returns the minimizer and the residual of the top block alone,
-    ||B y - rhs0*e1||.  Zero pivots (possible only after breakdown)
-    yield the minimum-norm completion with y_i = 0.
-    """
-    k = alphas.size
-    rho = np.empty(k)
-    theta = np.zeros(k)
-    phi = np.empty(k)
-    rhobar = alphas[0]
-    phibar = rhs0
-    for i in range(k):
-        if damp > 0.0:
-            merged = np.hypot(rhobar, damp)
-            phibar *= rhobar / merged
-            rhobar = merged
-        r = np.hypot(rhobar, betas[i])
-        if r == 0.0:
-            c, s = 1.0, 0.0
-        else:
-            c, s = rhobar / r, betas[i] / r
-        rho[i] = r
-        phi[i] = c * phibar
-        phibar = -s * phibar
-        if i + 1 < k:
-            theta[i + 1] = s * alphas[i + 1]
-            rhobar = c * alphas[i + 1]
-    y = np.zeros(k)
-    for i in range(k - 1, -1, -1):
-        if rho[i] > 0.0:
-            carry = theta[i + 1] * y[i + 1] if i + 1 < k else 0.0
-            y[i] = (phi[i] - carry) / rho[i]
-    return y, _projected_residual(alphas, betas, y, rhs0)
-
-
-def solve_lsqr_subproblem(alphas, betas, r0_norm):
-    """Unregularized projected solve; the residual equals the residual of
-    the full least-squares iterate by orthonormality of the left basis."""
+def _coefficients(alphas, betas):
     alphas = np.asarray(alphas, dtype=np.float64)
     betas = np.asarray(betas, dtype=np.float64)
     if alphas.size < 1:
         raise ValueError("the decomposition holds no columns yet")
-    return _bidiag_least_squares(alphas, betas, float(r0_norm), damp=0.0)
+    return alphas, betas
+
+
+def solve_lsqr_subproblem(alphas, betas, r0_norm, qr: BidiagQR | None = None):
+    """Unregularized projected solve; the residual equals the residual of
+    the full least-squares iterate by orthonormality of the left basis.
+
+    ``qr`` is the running factorization of earlier, shorter sequences
+    with the same ``r0_norm``; it is extended in place.  Without it the
+    columns are factored from scratch, with the same result.
+    """
+    alphas, betas = _coefficients(alphas, betas)
+    if qr is None:
+        qr = BidiagQR(float(r0_norm))
+    y = qr.extend(alphas, betas).solve()
+    return y, _projected_residual(alphas, betas, y, float(r0_norm))
 
 
 def solve_tikhonov_subproblem(alphas, betas, r0_norm, lam):
@@ -213,11 +262,9 @@ def solve_tikhonov_subproblem(alphas, betas, r0_norm, lam):
     """
     if lam < 0.0:
         raise ValueError(f"regularization weight must be nonnegative, got {lam}")
-    alphas = np.asarray(alphas, dtype=np.float64)
-    betas = np.asarray(betas, dtype=np.float64)
-    if alphas.size < 1:
-        raise ValueError("the decomposition holds no columns yet")
-    return _bidiag_least_squares(alphas, betas, float(r0_norm), damp=float(np.sqrt(lam)))
+    alphas, betas = _coefficients(alphas, betas)
+    y = BidiagQR(float(r0_norm), damp=float(np.sqrt(lam))).extend(alphas, betas).solve()
+    return y, _projected_residual(alphas, betas, y, float(r0_norm))
 
 
 def secant_update(lambda_prev, phi0, phi_lambda, target):
@@ -313,12 +360,18 @@ class IterationRecord:
 
 @dataclass
 class GBiTReport:
-    """Per-iteration trace plus the final iterate and termination reason."""
+    """Per-iteration trace plus the final iterate and termination reason.
+
+    ``breakdown`` is the decomposition's cause (``zero_residual``,
+    ``alpha`` or ``beta``), or None if it never broke down; it is set
+    whatever the termination.
+    """
 
     records: list[IterationRecord]
     termination: str  # discrepancy_met | max_iter | breakdown
     solution: np.ndarray
     r0_norm: float
+    breakdown: str | None = None
 
     @property
     def iterations(self) -> int:
@@ -375,7 +428,8 @@ def gbit_solve(A: LinearOperator, b, config: GBiTConfig | None = None):
     projected problem, since the secant update needs no new columns; the
     ``fixed`` scheme returns at once because its iterate can no longer
     change.  A run that ends with the subspace exhausted and the stop rule
-    unmet reports ``breakdown``.
+    unmet reports ``breakdown``.  A non-finite ``b`` or ``x0`` raises
+    ValueError.
     """
     config = config or GBiTConfig()
     config.validate()
@@ -384,6 +438,9 @@ def gbit_solve(A: LinearOperator, b, config: GBiTConfig | None = None):
         x0 = as_vector(config.x0, A.cols, "initial guess").copy()
     else:
         x0 = np.zeros(A.cols)
+    for name, vector in (("right-hand side b", b), ("initial guess x0", x0)):
+        if not np.isfinite(vector).all():
+            raise ValueError(f"{name} holds NaN or inf")
     x_true = None
     if config.x_true is not None:
         x_true = as_vector(config.x_true, A.cols, "ground truth")
@@ -391,10 +448,12 @@ def gbit_solve(A: LinearOperator, b, config: GBiTConfig | None = None):
         if true_norm == 0.0:
             raise ValueError("ground-truth vector must be nonzero for the error trace")
 
-    dec = BidiagDecomposition(A, b, x0=config.x0)
+    capacity = min(config.max_iter, A.rows, A.cols)
+    dec = BidiagDecomposition(A, b, x0=config.x0, capacity=capacity)
     records: list[IterationRecord] = []
     if dec.r0_norm == 0.0:
-        return x0, GBiTReport(records, "discrepancy_met", x0, 0.0)
+        return x0, GBiTReport(records, "discrepancy_met", x0, 0.0, dec.breakdown)
+    qr = BidiagQR(dec.r0_norm)
 
     lam = float(config.lambda0)
     phi0_prev = dec.r0_norm
@@ -414,7 +473,7 @@ def gbit_solve(A: LinearOperator, b, config: GBiTConfig | None = None):
             termination = "breakdown"
             break
         alphas, betas = dec.alphas, dec.betas
-        y0, phi0 = solve_lsqr_subproblem(alphas, betas, dec.r0_norm)
+        y0, phi0 = solve_lsqr_subproblem(alphas, betas, dec.r0_norm, qr)
         if lam == 0.0:
             # the ridge solve at weight zero is the unregularized one
             y_lam, phi_lam = y0, phi0
@@ -459,7 +518,7 @@ def gbit_solve(A: LinearOperator, b, config: GBiTConfig | None = None):
         termination = "max_iter" if dec.breakdown is None else "breakdown"
 
     x = x0 + dec.V @ y_current if y_current is not None else x0
-    return x, GBiTReport(records, termination, x, dec.r0_norm)
+    return x, GBiTReport(records, termination, x, dec.r0_norm, dec.breakdown)
 
 
 def lsqr_solve(A: LinearOperator, b, iters: int, x0=None, x_true=None):

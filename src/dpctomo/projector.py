@@ -160,7 +160,10 @@ def _trace_angle(geom: ProjectionGeometry, theta: float, work: np.ndarray):
             a = alphas[:, col : col + planes.size]
             col += planes.size
             np.subtract(planes, p0[:, None], out=a)
-            a /= d
+            # a component near 1e-310 sends the parameters to +-inf, which
+            # the clip to the entry and exit points below takes back
+            with np.errstate(over="ignore"):
+                a /= d
             lo, hi = np.minimum(a[:, 0], a[:, -1]), np.maximum(a[:, 0], a[:, -1])
         else:
             inside = (p0 >= planes[0]) & (p0 <= planes[-1])

@@ -2,7 +2,8 @@
 
 Each helper materializes something the package only ever applies or
 stores in compact form, so a test can compare against plain dense
-linear algebra.  The module name keeps pytest from collecting it.
+linear algebra; ``givens_sweep`` is the reference projected solve.  The
+module name keeps pytest from collecting it.
 """
 
 from dataclasses import dataclass
@@ -32,6 +33,51 @@ def dense_bidiagonal(alphas, betas) -> np.ndarray:
     b[np.arange(k), np.arange(k)] = alphas
     b[np.arange(1, k + 1), np.arange(k)] = betas
     return b
+
+
+def givens_sweep(alphas, betas, rhs0, damp=0.0):
+    """min || [B; damp*I] y - [rhs0*e1; 0] || by one Givens sweep over all
+    columns on numpy scalars, with the residual ||B y - rhs0*e1||.
+
+    This is the projected solve as it was before the package kept its
+    undamped QR across iterations; the package must match it bit for bit.
+    """
+    alphas = np.asarray(alphas, dtype=np.float64)
+    betas = np.asarray(betas, dtype=np.float64)
+    rhs0 = float(rhs0)
+    k = alphas.size
+    rho = np.empty(k)
+    theta = np.zeros(k)
+    phi = np.empty(k)
+    rhobar = alphas[0]
+    phibar = rhs0
+    for i in range(k):
+        if damp > 0.0:
+            merged = np.hypot(rhobar, damp)
+            phibar *= rhobar / merged
+            rhobar = merged
+        r = np.hypot(rhobar, betas[i])
+        if r == 0.0:
+            c, s = 1.0, 0.0
+        else:
+            c, s = rhobar / r, betas[i] / r
+        rho[i] = r
+        phi[i] = c * phibar
+        phibar = -s * phibar
+        if i + 1 < k:
+            theta[i + 1] = s * alphas[i + 1]
+            rhobar = c * alphas[i + 1]
+    y = np.zeros(k)
+    for i in range(k - 1, -1, -1):
+        if rho[i] > 0.0:
+            carry = theta[i + 1] * y[i + 1] if i + 1 < k else 0.0
+            y[i] = (phi[i] - carry) / rho[i]
+    res = np.empty(k + 1)
+    res[0] = rhs0 - alphas[0] * y[0]
+    if k > 1:
+        res[1:k] = -(betas[: k - 1] * y[: k - 1] + alphas[1:] * y[1:])
+    res[k] = -betas[k - 1] * y[k - 1]
+    return y, float(np.linalg.norm(res))
 
 
 def block_matrix(scheme: str, k: int) -> np.ndarray:

@@ -234,6 +234,17 @@ class TestSimulateCommand:
         assert result.returncode == 2
         assert "usage error" in result.stderr and "detector" in result.stderr
 
+    def test_one_detector_is_usage_error(self, tmp_path):
+        phantom_path = tmp_path / "p.txt"
+        run_cli("phantom", "--size", 16, "--out", phantom_path)
+        result = run_cli(
+            "simulate", "--phantom", phantom_path, "--angles", 10,
+            "--detectors", 1, "--out", tmp_path / "s.sino",
+        )
+        assert result.returncode == 2
+        assert "usage error" in result.stderr and "--detectors must be >= 2" in result.stderr
+        assert not (tmp_path / "s.sino").exists()
+
     def test_malformed_phantom_is_io_error(self, tmp_path):
         phantom_path = tmp_path / "p.txt"
         phantom_path.write_text("DPCTOMO-IMAGE-1 -\n2\n2\n1.0\nnot-a-number\n0\n0\n")
@@ -300,6 +311,7 @@ class TestReconstructCommand:
         assert result.returncode == 0, result.stderr
         manifest = read_manifest(f"{prefix}.manifest.json")
         assert manifest.extra["termination"] == "discrepancy_met"
+        assert manifest.extra["breakdown"] is None
         rows = read_report_csv(f"{prefix}.report.csv")
         assert rows[-1]["rel_error"] is not None
         assert all(row["lambda"] > 0.0 for row in rows)

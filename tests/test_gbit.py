@@ -5,6 +5,7 @@ import pytest
 
 from dpctomo.gbit import (
     BidiagDecomposition,
+    BidiagQR,
     GBiTConfig,
     gbit_solve,
     lsqr_solve,
@@ -13,7 +14,7 @@ from dpctomo.gbit import (
     solve_tikhonov_subproblem,
 )
 from dpctomo.linops import MatrixOperator
-from oracles import dense_bidiagonal
+from oracles import dense_bidiagonal, givens_sweep
 
 
 def decompose(matrix, rhs, steps):
@@ -61,6 +62,43 @@ class TestBidiagDecomposition:
         r0 = b - a @ x0
         np.testing.assert_allclose(dec.U[:, 0], r0 / np.linalg.norm(r0), rtol=1e-14)
         np.testing.assert_allclose(dec.r0_norm, np.linalg.norm(r0), rtol=1e-14)
+
+    def test_capacity_keeps_the_bases_and_stepping_past_it_works(self):
+        rng = np.random.default_rng(21)
+        a = rng.standard_normal((12, 7))
+        rhs = rng.standard_normal(12)
+        dec = BidiagDecomposition(MatrixOperator(a), rhs, capacity=4)
+        assert dec.step()
+        v_first, u_first = dec.V, dec.U
+        while dec.k < 4:
+            assert dec.step()
+        assert np.shares_memory(dec.V, v_first) and np.shares_memory(dec.U, u_first)
+        while dec.k < 7 and dec.step():
+            pass
+        assert dec.k == 7 and not np.shares_memory(dec.V, v_first)
+        ref = decompose(a, rhs, steps=7)
+        for got, want in ((dec.alphas, ref.alphas), (dec.betas, ref.betas),
+                          (dec.V, ref.V), (dec.U, ref.U)):
+            np.testing.assert_array_equal(got, want)
+
+    def test_gbit_solve_allocates_each_basis_once(self, monkeypatch):
+        grown = []
+        grow = BidiagDecomposition._grow
+
+        def counting_grow(arr, needed):
+            new = grow(arr, needed)
+            if new is not arr:
+                grown.append(needed)
+            return new
+
+        monkeypatch.setattr(BidiagDecomposition, "_grow", staticmethod(counting_grow))
+        rng = np.random.default_rng(22)
+        a = rng.standard_normal((60, 40))
+        rhs = rng.standard_normal(60)
+        _, report = lsqr_solve(MatrixOperator(a), rhs, iters=30)
+        assert report.iterations == 30 and grown == []
+        decompose(a, rhs, steps=30)  # without a capacity the bases double
+        assert grown
 
 
 class TestProjectedSolves:
@@ -135,6 +173,60 @@ class TestProjectedSolves:
         x, _ = gbit_solve(MatrixOperator(a), b, config)
         x_ref = np.linalg.solve(a.T @ a + lam * np.eye(6), a.T @ b + lam * x0)
         assert np.linalg.norm(x - x_ref) <= 1e-8 * np.linalg.norm(x_ref)
+
+
+def coefficient_sequences(seed, k=120):
+    """Diagonal and subdiagonal entries over two decades, with zero
+    subdiagonal entries (breakdown) and one column whose diagonal and
+    subdiagonal are both zero (a zero pivot).  Entries of like size are
+    where ``np.hypot`` and ``math.hypot`` disagree most often."""
+    rng = np.random.default_rng(seed)
+    alphas = 10.0 ** rng.uniform(-1.0, 1.0, size=k)
+    betas = 10.0 ** rng.uniform(-1.0, 1.0, size=k)
+    betas[rng.integers(0, k, size=3)] = 0.0
+    betas[-1] = 0.0
+    j = int(rng.integers(1, k - 1))
+    alphas[j] = betas[j] = 0.0
+    return alphas, betas, float(10.0 ** rng.uniform(-2.0, 2.0))
+
+
+def assert_same_bits(solved, swept):
+    (y, phi), (y_ref, phi_ref) = solved, swept
+    assert y.dtype == y_ref.dtype and y.tobytes() == y_ref.tobytes()
+    assert np.float64(phi).tobytes() == np.float64(phi_ref).tobytes()
+
+
+class TestRunningFactorization:
+    """The running undamped QR and the damped solve, both on Python
+    floats, against the numpy sweep of ``oracles.givens_sweep``."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_running_undamped_solve_matches_sweep(self, seed):
+        alphas, betas, r0 = coefficient_sequences(seed)
+        qr = BidiagQR(r0)
+        for k in range(1, alphas.size + 1):
+            swept = givens_sweep(alphas[:k], betas[:k], r0)
+            # every third size is solved twice: a call that adds no column
+            for _ in range(1 + (k % 3 == 0)):
+                assert_same_bits(solve_lsqr_subproblem(alphas[:k], betas[:k], r0, qr), swept)
+            assert_same_bits(solve_lsqr_subproblem(alphas[:k], betas[:k], r0), swept)
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("lam", [0.0, 1e-6, 0.37, 12.0, 1e6])
+    def test_damped_solve_matches_sweep(self, seed, lam):
+        alphas, betas, r0 = coefficient_sequences(seed)
+        for k in (1, 2, 7, 60, alphas.size):
+            assert_same_bits(
+                solve_tikhonov_subproblem(alphas[:k], betas[:k], r0, lam),
+                givens_sweep(alphas[:k], betas[:k], r0, damp=float(np.sqrt(lam))),
+            )
+
+    def test_shorter_sequences_than_the_factorization_rejected(self):
+        alphas, betas, r0 = coefficient_sequences(0)
+        qr = BidiagQR(r0)
+        solve_lsqr_subproblem(alphas[:5], betas[:5], r0, qr)
+        with pytest.raises(ValueError, match="5 columns"):
+            solve_lsqr_subproblem(alphas[:4], betas[:4], r0, qr)
 
 
 class TestSecantUpdates:
@@ -296,6 +388,39 @@ class TestGBiTSolve:
             GBiTConfig(epsilon=1.0, maxcounter=0).validate()
         with pytest.raises(ValueError):
             GBiTConfig(epsilon=1.0, update_scheme="bogus").validate()
+
+    @pytest.mark.parametrize(
+        "matrix,rhs,x0,cause,termination,iterations",
+        [
+            (np.eye(3), [1.0, 2.0, 3.0], [1.0, 2.0, 3.0], "zero_residual", "discrepancy_met",
+             0),
+            # A^T u_2 lies in span(v_1): no second right-basis column
+            ([[1.0, 0.0], [0.0, 0.0]], [1.0, 1.0], None, "alpha", "breakdown", 1),
+            # A v_1 lies in span(u_1): the subdiagonal entry is zero
+            (np.eye(3), [1.0, 0.0, 0.0], None, "beta", "breakdown", 1),
+            (np.arange(1.0, 13.0).reshape(4, 3) ** 2, [1.0, -1.0, 2.0, 0.5], None, None,
+             "max_iter", 2),
+        ],
+        ids=["zero_residual", "alpha", "beta", "none"],
+    )
+    def test_report_names_the_breakdown_cause(
+        self, matrix, rhs, x0, cause, termination, iterations
+    ):
+        config = GBiTConfig(update_scheme="fixed", lambda0=0.0, max_iter=2, x0=x0)
+        _, report = gbit_solve(MatrixOperator(np.asarray(matrix)), rhs, config)
+        assert report.breakdown == cause
+        assert report.termination == termination
+        assert report.iterations == iterations
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("where", ["right-hand side b", "initial guess x0"])
+    def test_nonfinite_data_rejected_naming_it(self, where, bad):
+        b = np.ones(4)
+        x0 = np.zeros(3)
+        (b if where.endswith(" b") else x0)[1] = bad
+        config = GBiTConfig(epsilon=1.0, x0=x0)
+        with pytest.raises(ValueError, match=where):
+            gbit_solve(MatrixOperator(np.ones((4, 3))), b, config)
 
     def test_zero_residual_returns_initial_guess(self):
         a = np.eye(3)

@@ -8,6 +8,7 @@ walks plane crossings instead, so agreement is a genuine cross-check.
 
 import os
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -191,6 +192,15 @@ class TestAgainstOracles:
             lhs = np.dot(op.apply(x), y)
             rhs = np.dot(x, op.apply_transpose(y))
             assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), 1.0)
+
+    def test_tiny_direction_component_warns_nothing(self):
+        # 1e-310 divides the plane offsets to +-inf; the clip to the entry
+        # and exit points takes the parameters back
+        geom = ProjectionGeometry(n_x=3, n_y=2, k=4, angles=[1e-310])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            op = build_projector(geom)
+        assert_adjoint(op, seed=5)
 
     def test_quarter_turn_projects_row_sums(self):
         # an image constant along each grid row projects, at a quarter
