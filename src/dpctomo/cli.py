@@ -51,6 +51,7 @@ EXIT_IO = 3
 EXIT_NUMERICAL = 4
 
 _VARIANTS = {"modified": "shepp_logan_modified", "classic": "shepp_logan_classic"}
+_MAX_ITER = 200  # the CLI's iteration cap; every other solver default is GBiTConfig's
 
 
 class UsageError(Exception):
@@ -100,13 +101,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sino", required=True, help="input sinogram (needs its manifest sidecar)")
     p.add_argument("--solver", choices=["gbit", "lsqr", "fbp"], required=True)
     p.add_argument("--model", choices=["forward", "central", "phase-retrieval"], default="forward")
-    p.add_argument("--eta", type=float, default=None, help="discrepancy tolerance factor (default 1.01)")
+    p.add_argument("--eta", type=float, default=None,
+                   help=f"discrepancy tolerance factor (default {GBiTConfig.eta})")
     p.add_argument("--epsilon", default=None,
                    help="noise-norm estimate, or 'manifest' to use the realized value")
-    p.add_argument("--lambda0", type=float, default=None, help="initial ridge weight (default 1)")
+    p.add_argument("--lambda0", type=float, default=None,
+                   help=f"initial ridge weight (default {GBiTConfig.lambda0})")
     p.add_argument("--maxcounter", type=int, default=None,
-                   help="extra times the stop test must hold (default 3)")
-    p.add_argument("--max-iter", type=int, default=None, help="iteration cap (default 200)")
+                   help=f"extra times the stop test must hold (default {GBiTConfig.maxcounter})")
+    p.add_argument("--max-iter", type=int, default=None,
+                   help=f"iteration cap (default {_MAX_ITER})")
     p.add_argument("--scheme", choices=["classic", "alternative"], default=None)
     p.add_argument("--truth", default=None, help="ground-truth image for the error trace")
     p.add_argument("--out", required=True, help="output prefix")
@@ -114,16 +118,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@contextmanager
 def _timed(clock: dict, phase: str):
-    class _Timer:
-        def __enter__(self):
-            self.t0 = time.perf_counter()
-
-        def __exit__(self, *exc):
-            clock[phase] = round(time.perf_counter() - self.t0, 6)
-            return False
-
-    return _Timer()
+    t0 = time.perf_counter()
+    yield
+    clock[phase] = round(time.perf_counter() - t0, 6)
 
 
 def cmd_phantom(args) -> int:
@@ -250,29 +249,26 @@ def _resolve_epsilon(args, manifest: RunManifest | None) -> float | None:
 
 def _solver_config(args, manifest: RunManifest, truth) -> GBiTConfig:
     """The iterative solver's settings from the flags, checked before any
-    work starts; ``lsqr`` runs the fixed scheme at weight zero."""
+    work starts; ``lsqr`` runs the fixed scheme at weight zero.  Flags the
+    user left unset keep ``GBiTConfig``'s defaults, except ``max_iter``,
+    whose CLI default is ``_MAX_ITER``."""
     x_true = truth.values if truth is not None else None
-    max_iter = args.max_iter if args.max_iter is not None else 200
+    max_iter = args.max_iter if args.max_iter is not None else _MAX_ITER
     if args.solver == "lsqr":
         config = GBiTConfig(update_scheme="fixed", lambda0=0.0, max_iter=max_iter, x_true=x_true)
     else:
-        scheme = args.scheme if args.scheme is not None else "classic"
-        epsilon = _resolve_epsilon(args, manifest)
-        if scheme == "classic" and epsilon is None:
+        flags = {"eta": args.eta, "lambda0": args.lambda0, "maxcounter": args.maxcounter,
+                 "update_scheme": args.scheme}
+        config = GBiTConfig(
+            epsilon=_resolve_epsilon(args, manifest), max_iter=max_iter, x_true=x_true,
+            **{name: value for name, value in flags.items() if value is not None},
+        )
+        if config.update_scheme == "classic" and config.epsilon is None:
             raise UsageError(
                 "gbit with the classic scheme selects the ridge weight by the "
                 "discrepancy rule, which needs the noise norm: pass --epsilon "
                 "VALUE or --epsilon manifest (or use --scheme alternative)"
             )
-        config = GBiTConfig(
-            eta=args.eta if args.eta is not None else 1.01,
-            epsilon=epsilon,
-            lambda0=args.lambda0 if args.lambda0 is not None else 1.0,
-            max_iter=max_iter,
-            maxcounter=args.maxcounter if args.maxcounter is not None else 3,
-            update_scheme=scheme,
-            x_true=x_true,
-        )
     with _flag_values():
         config.validate()
     return config

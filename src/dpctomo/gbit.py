@@ -382,14 +382,6 @@ class GBiTReport:
         return np.array([r.phi0 for r in self.records])
 
     @property
-    def phi_lambdas(self) -> np.ndarray:
-        return np.array([r.phi_lambda for r in self.records])
-
-    @property
-    def lambdas(self) -> np.ndarray:
-        return np.array([r.lam for r in self.records])
-
-    @property
     def rel_errors(self) -> np.ndarray:
         return np.array(
             [np.nan if r.rel_error is None else r.rel_error for r in self.records]
@@ -428,8 +420,8 @@ def gbit_solve(A: LinearOperator, b, config: GBiTConfig | None = None):
     projected problem, since the secant update needs no new columns; the
     ``fixed`` scheme returns at once because its iterate can no longer
     change.  A run that ends with the subspace exhausted and the stop rule
-    unmet reports ``breakdown``.  A non-finite ``b`` or ``x0`` raises
-    ValueError.
+    unmet reports ``breakdown``.  A non-finite ``b``, ``x0`` or ``x_true``
+    raises ValueError.
     """
     config = config or GBiTConfig()
     config.validate()
@@ -438,12 +430,12 @@ def gbit_solve(A: LinearOperator, b, config: GBiTConfig | None = None):
         x0 = as_vector(config.x0, A.cols, "initial guess").copy()
     else:
         x0 = np.zeros(A.cols)
-    for name, vector in (("right-hand side b", b), ("initial guess x0", x0)):
-        if not np.isfinite(vector).all():
+    x_true = None if config.x_true is None else as_vector(config.x_true, A.cols, "ground truth")
+    checked = (("right-hand side b", b), ("initial guess x0", x0), ("ground truth x_true", x_true))
+    for name, vector in checked:
+        if vector is not None and not np.isfinite(vector).all():
             raise ValueError(f"{name} holds NaN or inf")
-    x_true = None
-    if config.x_true is not None:
-        x_true = as_vector(config.x_true, A.cols, "ground truth")
+    if x_true is not None:
         true_norm = float(np.linalg.norm(x_true))
         if true_norm == 0.0:
             raise ValueError("ground-truth vector must be nonzero for the error trace")

@@ -1,10 +1,11 @@
 """Matrix-free linear operators with explicit adjoints.
 
 Every operator is a real map between flat float64 vectors and exposes the
-pair ``apply`` / ``apply_transpose``.  Operators are immutable after
-construction; compositions keep references to their factors, so a product
-like ``compose(D, R)`` is applied factor by factor and the product matrix
-is never materialized.
+pair ``apply`` / ``apply_transpose``.  The package's operators are the
+projector ``R``, the blockwise difference ``D`` and their compositions.
+Operators are immutable after construction; compositions keep references
+to their factors, so a product like ``compose(D, R)`` is applied factor by
+factor and the product matrix is never materialized.
 """
 
 from __future__ import annotations
@@ -63,29 +64,8 @@ class LinearOperator:
     def apply_transpose(self, y) -> np.ndarray:
         raise NotImplementedError
 
-    def __matmul__(self, x):
-        return self.apply(x)
-
     def __repr__(self):
         return f"<{type(self).__name__} {self._rows}x{self._cols}>"
-
-
-class MatrixOperator(LinearOperator):
-    """Dense matrix wrapped as an operator (row-major float64 storage)."""
-
-    def __init__(self, matrix):
-        a = np.array(matrix, dtype=np.float64, order="C", copy=True)
-        if a.ndim != 2:
-            raise ValueError(f"expected a 2-D matrix, got ndim={a.ndim}")
-        a.setflags(write=False)
-        super().__init__(a.shape[0], a.shape[1])
-        self.matrix = a
-
-    def apply(self, x):
-        return self.matrix @ as_vector(x, self.cols, repr(self))
-
-    def apply_transpose(self, y):
-        return self.matrix.T @ as_vector(y, self.rows, repr(self))
 
 
 class ComposedOperator(LinearOperator):

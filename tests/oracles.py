@@ -2,13 +2,34 @@
 
 Each helper materializes something the package only ever applies or
 stores in compact form, so a test can compare against plain dense
-linear algebra; ``givens_sweep`` is the reference projected solve.  The
-module name keeps pytest from collecting it.
+linear algebra; ``givens_sweep`` is the reference projected solve and
+``complex_filtered_blocks`` the reference FBP filter.  The module name
+keeps pytest from collecting it.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+
+from dpctomo.linops import LinearOperator, as_vector
+
+
+class MatrixOperator(LinearOperator):
+    """Dense matrix wrapped as an operator (row-major float64 storage)."""
+
+    def __init__(self, matrix):
+        a = np.array(matrix, dtype=np.float64, order="C", copy=True)
+        if a.ndim != 2:
+            raise ValueError(f"expected a 2-D matrix, got ndim={a.ndim}")
+        a.setflags(write=False)
+        super().__init__(a.shape[0], a.shape[1])
+        self.matrix = a
+
+    def apply(self, x):
+        return self.matrix @ as_vector(x, self.cols, repr(self))
+
+    def apply_transpose(self, y):
+        return self.matrix.T @ as_vector(y, self.rows, repr(self))
 
 
 def densify(op) -> np.ndarray:
@@ -115,3 +136,29 @@ def block_invertibility(scheme: str, m: int, rank_tol: float = 1e-10) -> BlockIn
     null_mask = svals <= rank_tol * svals[0]
     basis = vt[null_mask].T.copy()
     return BlockInvertibility(determinant=det, nullspace=basis)
+
+
+def complex_filtered_blocks(blocks, h: float, kind: str) -> np.ndarray:
+    """The FBP filter of each angle block over the zero-padded window, by a
+    complex FFT over all frequencies.
+
+    This is the filter as it was before the package moved to a real FFT:
+    the symbol is ``|f|`` (ramp) or ``sign(f) / (2 pi i)`` (dpc) with the
+    unpaired Nyquist coefficient zeroed, and the real part is returned.
+    """
+    blocks = np.asarray(blocks, dtype=np.float64)
+    l, k = blocks.shape
+    padded = 1
+    while padded < 2 * k:
+        padded *= 2
+    freqs = np.fft.fftfreq(padded, d=h)
+    if kind == "ramp":
+        symbol = np.abs(freqs).astype(complex)
+    elif kind == "dpc":
+        symbol = np.sign(freqs) / (2.0 * np.pi * 1j)
+        symbol[padded // 2] = 0.0
+    else:
+        raise ValueError(f"unknown filter kind {kind!r}")
+    buf = np.zeros((l, padded))
+    buf[:, :k] = blocks
+    return np.fft.ifft(np.fft.fft(buf, axis=1) * symbol, axis=1).real

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from dpctomo import gbit
-from dpctomo.linops import MatrixOperator
+from oracles import MatrixOperator
 
 SPANS_PATH = Path(__file__).resolve().parents[1] / "benchmarks" / "spans.py"
 

@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
-from dpctomo.fbp import FilterSpec, _filtered_blocks, fbp_reconstruct, filter_sinogram
+from dpctomo import fbp
+from dpctomo.fbp import _filtered_blocks, _padded_length, fbp_reconstruct, filter_sinogram
 from dpctomo.diffops import make_diff
 from dpctomo.projector import Image, ProjectionGeometry, Sinogram, build_projector, project, uniform_angles
 from dpctomo.simlab import PhantomSpec, make_phantom
+from oracles import complex_filtered_blocks
 
 
 def inscribed_mask(n):
@@ -15,37 +17,41 @@ def inscribed_mask(n):
     return xx**2 + yy**2 <= (n / 2.0) ** 2
 
 
-class TestFilterSpec:
-    def test_default_padding_is_next_power_of_two(self):
-        assert FilterSpec("ramp").resolve_padding(100) == 256
-        assert FilterSpec("ramp").resolve_padding(128) == 256
+class TestFilterKindAndPadding:
+    def test_padding_is_next_power_of_two_of_2k(self):
+        assert _padded_length(100) == 256
+        assert _padded_length(128) == 256
 
-    def test_rejects_bad_padding(self):
-        with pytest.raises(ValueError):
-            FilterSpec("ramp", padded_length=100)
-        with pytest.raises(ValueError):
-            FilterSpec("ramp", padded_length=128).resolve_padding(100)
-        with pytest.raises(ValueError):
-            FilterSpec("sharpen")
+    def test_unknown_kind_rejected_before_any_work(self, monkeypatch):
+        sino = Sinogram(k=8, l=6, values=np.zeros(48))
+        with pytest.raises(ValueError, match="sharpen"):
+            filter_sinogram(sino, "sharpen")
+
+        def build_projector(geom):
+            raise AssertionError("a projector was built for an unknown filter kind")
+
+        monkeypatch.setattr(fbp, "build_projector", build_projector)
+        geom = ProjectionGeometry(n_x=8, n_y=8, k=8, angles=uniform_angles(6))
+        with pytest.raises(ValueError, match="sharpen"):
+            fbp_reconstruct(sino, geom, "sharpen")
 
 
 class TestFilterSinogram:
     def test_zero_input_zero_output(self):
         sino = Sinogram(k=16, l=3, values=np.zeros(48))
         for kind in ("ramp", "dpc"):
-            np.testing.assert_array_equal(filter_sinogram(sino, FilterSpec(kind)).values, 0.0)
+            np.testing.assert_array_equal(filter_sinogram(sino, kind).values, 0.0)
 
     def test_linearity_and_blockwise_independence(self):
         rng = np.random.default_rng(0)
         a = rng.standard_normal((1, 32))
         b = rng.standard_normal((1, 32))
-        spec = FilterSpec("ramp")
-        fa = _filtered_blocks(a, 1.0, spec)
-        fb = _filtered_blocks(b, 1.0, spec)
+        fa = _filtered_blocks(a, 1.0, "ramp")
+        fb = _filtered_blocks(b, 1.0, "ramp")
         np.testing.assert_allclose(
-            _filtered_blocks(2.0 * a - 3.0 * b, 1.0, spec), 2.0 * fa - 3.0 * fb, atol=1e-10
+            _filtered_blocks(2.0 * a - 3.0 * b, 1.0, "ramp"), 2.0 * fa - 3.0 * fb, atol=1e-10
         )
-        stacked = _filtered_blocks(np.vstack([a, b]), 1.0, spec)
+        stacked = _filtered_blocks(np.vstack([a, b]), 1.0, "ramp")
         np.testing.assert_allclose(stacked, np.vstack([fa, fb]), atol=1e-12)
 
     def test_ramp_zeroes_the_dc_bin(self):
@@ -54,10 +60,10 @@ class TestFilterSinogram:
         # which is why the check runs on the padded window
         rng = np.random.default_rng(1)
         blocks = rng.standard_normal((4, 32))
-        padded = _filtered_blocks(blocks, 1.0, FilterSpec("ramp"))
+        padded = _filtered_blocks(blocks, 1.0, "ramp")
         np.testing.assert_allclose(padded.mean(axis=1), 0.0, atol=1e-10)
         constant = np.full((1, 32), 2.5)
-        padded = _filtered_blocks(constant, 1.0, FilterSpec("ramp"))
+        padded = _filtered_blocks(constant, 1.0, "ramp")
         np.testing.assert_allclose(padded.mean(axis=1), 0.0, atol=1e-10)
 
     def test_derivative_filter_inverts_central_difference(self):
@@ -68,9 +74,22 @@ class TestFilterSinogram:
         j = np.arange(k)
         q = np.sin(2 * np.pi * 5 * j / k) * np.sin(np.pi * j / (k - 1)) ** 2
         dq = make_diff("central", k, 1).apply(q)
-        ramp_q = filter_sinogram(Sinogram(k=k, l=1, values=q), FilterSpec("ramp")).values
-        dpc_dq = filter_sinogram(Sinogram(k=k, l=1, values=dq), FilterSpec("dpc")).values
+        ramp_q = filter_sinogram(Sinogram(k=k, l=1, values=q), "ramp").values
+        dpc_dq = filter_sinogram(Sinogram(k=k, l=1, values=dq), "dpc").values
         assert np.linalg.norm(dpc_dq - ramp_q) <= 0.05 * np.linalg.norm(ramp_q)
+
+    @pytest.mark.parametrize("h", [1.0, 0.5])
+    @pytest.mark.parametrize("kind", ["ramp", "dpc"])
+    @pytest.mark.parametrize("k", [64, 255, 256, 257])
+    def test_real_fft_matches_complex_fft_reference(self, k, kind, h):
+        # odd and even k, and k at and just past a power of two, so the
+        # padded length and its Nyquist bin change between cases
+        blocks = np.random.default_rng(k).standard_normal((5, k))
+        got = _filtered_blocks(blocks, h, kind)
+        want = complex_filtered_blocks(blocks, h, kind)
+        assert got.dtype == np.float64 and got.shape == want.shape
+        scale = np.abs(want).max(axis=1)
+        assert np.all(np.abs(got - want).max(axis=1) <= 1e-15 * scale)
 
 
 class TestReconstruction:

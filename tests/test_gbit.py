@@ -13,8 +13,7 @@ from dpctomo.gbit import (
     solve_lsqr_subproblem,
     solve_tikhonov_subproblem,
 )
-from dpctomo.linops import MatrixOperator
-from oracles import dense_bidiagonal, givens_sweep
+from oracles import MatrixOperator, dense_bidiagonal, givens_sweep
 
 
 def decompose(matrix, rhs, steps):
@@ -269,7 +268,7 @@ class TestGBiTSolve:
         config = GBiTConfig(eta=1.01, epsilon=eps, max_iter=60)
         x, report = gbit_solve(MatrixOperator(a), b, config)
         assert report.termination == "discrepancy_met"
-        assert report.phi_lambdas[-1] <= 1.01 * eps
+        assert report.records[-1].phi_lambda <= 1.01 * eps
         # the true residual equals the projected one up to rounding
         assert np.linalg.norm(b - a @ x) <= 1.01 * eps + 100 * np.finfo(float).eps * np.linalg.norm(b)
 
@@ -288,7 +287,7 @@ class TestGBiTSolve:
         eps = np.linalg.norm(b - b_clean)
         config = GBiTConfig(eta=1.01, epsilon=eps, max_iter=30, maxcounter=30)
         _, report = gbit_solve(MatrixOperator(a), b, config)
-        lams = report.lambdas
+        lams = np.array([r.lam for r in report.records])
         peak = int(np.argmax(lams))
         above_target = report.phi0s > 1.01 * eps
         assert above_target[0] and above_target.sum() >= 2
@@ -300,7 +299,7 @@ class TestGBiTSolve:
         plateau = lams[-5:]
         assert plateau.max() - plateau.min() <= 0.05 * plateau.mean()
         assert np.all(lams > 0.0)
-        assert np.isfinite(report.phi0s).all() and np.isfinite(report.phi_lambdas).all()
+        assert np.isfinite(report.phi0s).all() and np.isfinite([r.phi_lambda for r in report.records]).all()
 
     def test_projected_residual_equals_true_residual(self):
         rng = np.random.default_rng(8)
@@ -375,7 +374,7 @@ class TestGBiTSolve:
         config = GBiTConfig(update_scheme="alternative", eta=1.01, max_iter=30)
         x, report = gbit_solve(MatrixOperator(a), b, config)
         assert report.termination in ("discrepancy_met", "max_iter")
-        assert np.all(report.lambdas > 0.0)
+        assert all(r.lam > 0.0 for r in report.records)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -413,12 +412,14 @@ class TestGBiTSolve:
         assert report.iterations == iterations
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    @pytest.mark.parametrize("where", ["right-hand side b", "initial guess x0"])
+    @pytest.mark.parametrize(
+        "where", ["right-hand side b", "initial guess x0", "ground truth x_true"]
+    )
     def test_nonfinite_data_rejected_naming_it(self, where, bad):
-        b = np.ones(4)
-        x0 = np.zeros(3)
-        (b if where.endswith(" b") else x0)[1] = bad
-        config = GBiTConfig(epsilon=1.0, x0=x0)
+        vectors = {"b": np.ones(4), "x0": np.zeros(3), "x_true": np.ones(3)}
+        vectors[where.split()[-1]][1] = bad
+        b = vectors["b"]
+        config = GBiTConfig(epsilon=1.0, x0=vectors["x0"], x_true=vectors["x_true"])
         with pytest.raises(ValueError, match=where):
             gbit_solve(MatrixOperator(np.ones((4, 3))), b, config)
 

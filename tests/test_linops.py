@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from dpctomo.diffops import DiffOperator, make_diff
-from dpctomo.linops import MatrixOperator, ShapeMismatchError, compose
-from oracles import block_matrix, densify
+from dpctomo.linops import ShapeMismatchError, compose
+from oracles import MatrixOperator, block_matrix, densify
 
 
 def forward_block(k):
