@@ -52,6 +52,8 @@ EXIT_NUMERICAL = 4
 
 _VARIANTS = {"modified": "shepp_logan_modified", "classic": "shepp_logan_classic"}
 _MAX_ITER = 200  # the CLI's iteration cap; every other solver default is GBiTConfig's
+# reconstruct's flags that only the iterative solvers read
+_SOLVER_FLAGS = ("eta", "epsilon", "lambda0", "maxcounter", "max_iter", "scheme")
 
 
 class UsageError(Exception):
@@ -218,21 +220,23 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
 def _echo_args(args, names) -> list[str]:
     echoed = []
     for name in names:
-        value = getattr(args, name.replace("-", "_"))
+        value = getattr(args, name)
         if value is not None:
-            echoed += [f"--{name}", str(value)]
+            echoed += [_flag(name), str(value)]
     return echoed
 
 
-def _resolve_epsilon(args, manifest: RunManifest | None) -> float | None:
+def _resolve_epsilon(args, manifest: RunManifest) -> float | None:
     if args.epsilon is None:
         return None
     if args.epsilon == "manifest":
-        if manifest is None:
-            raise UsageError("--epsilon manifest needs the sinogram's manifest sidecar")
         key = (
             "epsilon_phase_retrieval"
             if args.model == "phase-retrieval"
@@ -276,22 +280,22 @@ def _solver_config(args, manifest: RunManifest, truth) -> GBiTConfig:
 
 def cmd_reconstruct(args) -> int:
     sino = read_sinogram(args.sino)
-    manifest_in = None
+    manifest_path = manifest_path_for(args.sino)
     try:
-        manifest_in = read_manifest(manifest_path_for(args.sino))
+        manifest_in = read_manifest(manifest_path)
     except FileNotFoundError:
-        pass
-    if manifest_in is None:
         raise UsageError(
-            f"no manifest sidecar at {manifest_path_for(args.sino)}; the grid size of "
+            f"no manifest sidecar at {manifest_path}; the grid size of "
             "the reconstruction comes from the manifest written by 'simulate'"
         )
-    n_x = int(manifest_in.config["n_x"])
-    n_y = int(manifest_in.config["n_y"])
+    try:
+        n_x = int(manifest_in.config["n_x"])
+        n_y = int(manifest_in.config["n_y"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{manifest_path}: config carries no grid size n_x, n_y") from exc
 
-    solver_flags = ["eta", "epsilon", "lambda0", "maxcounter", "max_iter", "scheme"]
     if args.solver == "fbp":
-        ignored = [f"--{n.replace('_', '-')}" for n in solver_flags if getattr(args, n) is not None]
+        ignored = [_flag(n) for n in _SOLVER_FLAGS if getattr(args, n) is not None]
         if ignored:
             print(f"warning: fbp ignores solver-only flags: {', '.join(ignored)}", file=sys.stderr)
 
@@ -306,12 +310,7 @@ def cmd_reconstruct(args) -> int:
         "sino": args.sino,
         "solver": args.solver,
         "model": args.model,
-        "eta": args.eta,
-        "epsilon": args.epsilon,
-        "lambda0": args.lambda0,
-        "maxcounter": args.maxcounter,
-        "max_iter": args.max_iter,
-        "scheme": args.scheme,
+        **{name: getattr(args, name) for name in _SOLVER_FLAGS},
         "truth": args.truth,
         "n_x": n_x,
         "n_y": n_y,
@@ -376,9 +375,7 @@ def cmd_reconstruct(args) -> int:
             RunManifest(
                 run_id=run_id,
                 command=["reconstruct"] + _echo_args(
-                    args,
-                    ["sino", "solver", "model", "eta", "epsilon", "lambda0",
-                     "maxcounter", "max-iter", "scheme", "truth", "out"],
+                    args, ["sino", "solver", "model", *_SOLVER_FLAGS, "truth", "out"]
                 ),
                 config=config,
                 wall_clock=clock,

@@ -23,10 +23,6 @@ from .linops import LinearOperator, as_vector
 SCHEMES = ("forward", "central")
 
 
-class SingularBlockError(ValueError):
-    """The requested blockwise solve is singular."""
-
-
 class DiffOperator(LinearOperator):
     """Finite-difference operator acting independently on each angle block."""
 
@@ -79,29 +75,3 @@ def invert_forward(b, k: int, l: int) -> np.ndarray:
     """
     blocks = as_vector(b, int(k) * int(l), "invert_forward input").reshape(int(l), int(k))
     return -np.cumsum(blocks[:, ::-1], axis=1)[:, ::-1].ravel()
-
-
-def invert_central(b, k: int, l: int) -> np.ndarray:
-    """Solve the blockwise central-difference system (even block size only).
-
-    The zero-diagonal tridiagonal block decouples into two bidiagonal
-    chains, one through the odd-indexed entries and one through the even
-    ones, each solved by a cumulative substitution sweep.  For odd ``k``
-    the block is singular (nullspace spanned by the alternating vector
-    (1, 0, 1, ..., 0, 1)) and no solve is attempted.
-    """
-    k, l = int(k), int(l)
-    if k % 2 != 0:
-        raise SingularBlockError(
-            f"central-difference block of odd size k={k} is singular: its nullspace "
-            "is spanned by the alternating vector (1, 0, 1, ..., 0, 1)"
-        )
-    blocks = as_vector(b, k * l, "invert_central input").reshape(l, k)
-    out = np.empty_like(blocks)
-    # rows 0, 2, ... determine the odd-indexed entries top-down,
-    # rows k-1, k-3, ... determine the even-indexed entries bottom-up
-    out[:, 1::2] = 2.0 * np.cumsum(blocks[:, 0::2], axis=1)
-    odd_rows = blocks[:, 1::2]
-    out[:, 0::2] = -2.0 * np.cumsum(odd_rows[:, ::-1], axis=1)[:, ::-1]
-    return out.ravel()
-

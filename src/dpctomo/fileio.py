@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import itertools
 import json
 from dataclasses import dataclass, field, asdict
 
@@ -91,13 +92,14 @@ def write_sinogram(path, sino: Sinogram, run_id: str = "-") -> None:
 def read_sinogram(path) -> Sinogram:
     with open(path) as fh:
         lines = (line for line in fh if not line.startswith("#"))
-        magic = next(lines).split()
+        header = list(itertools.islice(lines, 5))
+        magic = header[0].split() if header else []
         if not magic or magic[0] != SINO_MAGIC:
             raise ValueError(f"{path}: not a sinogram file (bad magic line)")
-        k = int(next(lines))
-        l = int(next(lines))
-        h = float(next(lines))
-        ordering = next(lines).strip()
+        if len(header) < 5:
+            raise ValueError(f"{path}: truncated header ({len(header)} of 5 lines)")
+        _, k, l, h, ordering = header
+        k, l, h, ordering = int(k), int(l), float(h), ordering.strip()
         if ordering != "ordering=angle-major":
             raise ValueError(f"{path}: unsupported ordering {ordering!r}")
         values = _finite(path, [float(line) for line in lines if line.strip()])
@@ -174,5 +176,7 @@ def write_manifest(path, manifest: RunManifest) -> None:
 
 def read_manifest(path) -> RunManifest:
     with open(path) as fh:
-        data = json.load(fh)
-    return RunManifest(**data)
+        try:
+            return RunManifest(**json.load(fh))
+        except (TypeError, ValueError) as exc:  # not JSON, or not RunManifest's keys
+            raise ValueError(f"{path}: not a run manifest ({exc})") from exc

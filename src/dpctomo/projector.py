@@ -16,10 +16,11 @@ matching the block structure of the difference operators.
 The weight matrix of a geometry is assembled once and stored sparse,
 together with its transpose, so repeated applies are fast and the
 accumulation order of the adjoint is fixed, making results reproducible
-run to run.  Assembly is vectorized over the rays of each angle; blocks
-of angles are traced, and ranges of pixels of the transpose are written,
-on a thread pool for geometries large enough to pay for it.  Both stored
-matrices are the same, array for array, whatever the number of workers.
+run to run.  Assembly is vectorized over the rays of each angle, and
+blocks of angles are traced on a thread pool for geometries large enough
+to pay for it.  The transpose is one CSR -> CSC conversion of the
+stacked blocks.  Both stored matrices are the same, array for array,
+whatever the number of workers.
 """
 
 from __future__ import annotations
@@ -204,13 +205,11 @@ def _trace_angle(geom: ProjectionGeometry, theta: float, work: np.ndarray):
     return np.count_nonzero(valid, axis=1), ix[valid].astype(np.int32), lengths[valid]
 
 
-# Assembly traces blocks of angles and transposes ranges of pixels.  It
-# runs them on a thread pool once the geometry traces about
-# _WORK_PER_WORKER crossing parameters per worker: numpy and scipy release
-# the interpreter lock on arrays that large, while smaller geometries are
-# bound by the interpreter and assemble serially.
+# Assembly traces blocks of angles on a thread pool once the geometry
+# traces about _WORK_PER_WORKER crossing parameters per worker: numpy and
+# scipy release the interpreter lock on arrays that large, while smaller
+# geometries are bound by the interpreter and assemble serially.
 _ANGLE_BLOCKS = 8
-_PIXEL_RANGES = 4
 _WORK_PER_WORKER = 2_000_000
 
 
@@ -244,33 +243,18 @@ def _worker_count(geom: ProjectionGeometry) -> int:
 def _assemble_weights(geom: ProjectionGeometry, workers: int):
     """The weight matrix and its transpose, both CSR in canonical format.
 
-    The blocks of angles are stacked in row order.  Each range of pixels
-    of the transpose lists, per pixel, its rays in ascending order, so the
-    transpose equals ``weights.T.tocsr()`` array for array.  Neither
-    matrix depends on the number of workers.
+    Threads trace the blocks of angles, which are stacked in row order.
+    The transpose is one CSR -> CSC conversion, which lists each pixel's
+    rays in ascending order.  Neither matrix depends on the number of
+    workers.
     """
     angle_blocks = np.array_split(geom.angles, min(_ANGLE_BLOCKS, geom.l))
-    ranges = min(_PIXEL_RANGES, geom.n)
-    bounds = [geom.n * j // ranges for j in range(ranges + 1)]
     with ThreadPoolExecutor(workers) as pool:  # starts no thread if unused
         run = pool.map if workers > 1 else map
         blocks = list(run(lambda angles: _trace_block(geom, angles), angle_blocks))
-        pixel_counts = sum(run(lambda b: np.bincount(b.indices, minlength=geom.n), blocks))
-        weights = sp.vstack(blocks, format="csr")
-        del blocks
-        indptr_t = np.zeros(geom.n + 1, dtype=weights.indptr.dtype)
-        np.cumsum(pixel_counts, out=indptr_t[1:])
-        indices_t = np.empty(weights.nnz, dtype=weights.indices.dtype)
-        data_t = np.empty(weights.nnz)
-
-        def transpose_range(j):
-            lo, hi = bounds[j], bounds[j + 1]
-            part = weights[:, lo:hi].T.tocsr()
-            indices_t[indptr_t[lo] : indptr_t[hi]] = part.indices
-            data_t[indptr_t[lo] : indptr_t[hi]] = part.data
-
-        list(run(transpose_range, range(ranges)))
-    return weights, sp.csr_matrix((data_t, indices_t, indptr_t), shape=(geom.n, geom.m))
+    weights = sp.vstack(blocks, format="csr")
+    del blocks  # free the traced blocks before the transpose is built
+    return weights, weights.T.tocsr()
 
 
 class ParallelProjector(LinearOperator):

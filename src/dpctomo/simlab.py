@@ -17,7 +17,7 @@ first and then inverts the plain projection operator).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any
 
 import numpy as np
@@ -196,19 +196,12 @@ class ExperimentResult:
     arms: dict[str, ReconstructionArm] = field(default_factory=dict)
 
 
-def _solve_arm(A: LinearOperator, b, truth, epsilon, model, params) -> ReconstructionArm:
+def _solve_arm(
+    A: LinearOperator, b, truth, epsilon, model, config: GBiTConfig
+) -> ReconstructionArm:
     b = as_vector(b, A.rows, "arm data")
-    x_lsqr, rep_lsqr = lsqr_solve(A, b, iters=params["max_iter"], x_true=truth)
-    config = GBiTConfig(
-        eta=params["eta"],
-        epsilon=epsilon,
-        lambda0=params["lambda0"],
-        max_iter=params["max_iter"],
-        maxcounter=params["maxcounter"],
-        update_scheme=params["scheme"],
-        x_true=truth,
-    )
-    x_gbit, rep_gbit = gbit_solve(A, b, config)
+    x_lsqr, rep_lsqr = lsqr_solve(A, b, iters=config.max_iter, x_true=truth)
+    x_gbit, rep_gbit = gbit_solve(A, b, replace(config, epsilon=epsilon, x_true=truth))
     return ReconstructionArm(
         model=model,
         epsilon=epsilon,
@@ -235,16 +228,23 @@ def _realized_epsilon(b, b_clean, A: LinearOperator, truth) -> float:
     return eps
 
 
-def _solver_params(params: dict) -> dict:
-    defaults = {
-        "eta": 1.01,
-        "lambda0": 1.0,
-        "max_iter": 200,
-        "maxcounter": 3,
-        "scheme": "classic",
-    }
-    defaults.update({k: params[k] for k in defaults if k in params})
-    return defaults
+# the studies' solver keywords and the GBiTConfig field each one sets
+_SOLVER_KEYS = {
+    "eta": "eta",
+    "lambda0": "lambda0",
+    "max_iter": "max_iter",
+    "maxcounter": "maxcounter",
+    "scheme": "update_scheme",
+}
+_MAX_ITER = 200  # the studies' iteration cap; every other solver default is GBiTConfig's
+
+
+def _solver_config(params: dict) -> tuple[GBiTConfig, dict]:
+    """The solver settings from the keywords the caller set, and those
+    settings under their keyword names for the result's parameters."""
+    given = {name: params[key] for key, name in _SOLVER_KEYS.items() if key in params}
+    config = GBiTConfig(**{"max_iter": _MAX_ITER, **given})
+    return config, {key: getattr(config, name) for key, name in _SOLVER_KEYS.items()}
 
 
 def _run_single_projection(arm_labels, **params) -> ExperimentResult:
@@ -256,7 +256,7 @@ def _run_single_projection(arm_labels, **params) -> ExperimentResult:
     noise_level = float(params.get("noise", 0.10))
     offset = float(params.get("offset", 5.0))
     seed = int(params.get("seed", 0))
-    solver = _solver_params(params)
+    solver, solver_params = _solver_config(params)
 
     phantom = make_phantom(PhantomSpec(variant=variant, size=size))
     geom = ProjectionGeometry(n_x=size, n_y=size, k=detectors, angles=np.array([np.pi / 2.0]))
@@ -270,7 +270,7 @@ def _run_single_projection(arm_labels, **params) -> ExperimentResult:
 
     result = ExperimentResult(
         name="single_projection" if "offset" not in arm_labels else "single_projection_offset",
-        params={**solver, "size": size, "detectors": detectors, "omega": omega,
+        params={**solver_params, "size": size, "detectors": detectors, "omega": omega,
                 "noise": noise_level, "offset": offset, "seed": seed},
     )
     for arm in arm_labels:
@@ -300,7 +300,7 @@ def _run_full_ct(**params) -> ExperimentResult:
     noise_level = float(params.get("noise", 0.10))
     offset = float(params.get("offset", 0.0))
     seed = int(params.get("seed", 0))
-    solver = _solver_params(params)
+    solver, solver_params = _solver_config(params)
 
     phantom = make_phantom(PhantomSpec(variant=variant, size=size))
     geom = standard_geometry(size, num_angles, detectors)
@@ -315,7 +315,7 @@ def _run_full_ct(**params) -> ExperimentResult:
     x_true = phantom.values
     result = ExperimentResult(
         name="full_ct",
-        params={**solver, "size": size, "angles": num_angles, "detectors": detectors,
+        params={**solver_params, "size": size, "angles": num_angles, "detectors": detectors,
                 "omega": omega, "noise": noise_level, "offset": offset, "seed": seed},
     )
 

@@ -7,6 +7,7 @@ tests exercise argument parsing and exit codes exactly as a user would.
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -134,6 +135,11 @@ class TestFileFormats:
         path.write_text("NOT-AN-IMAGE\n2\n2\n0\n0\n0\n0\n")
         with pytest.raises(ValueError):
             read_image(path)
+
+
+def without_grid(manifest: dict) -> dict:
+    config = {k: v for k, v in manifest["config"].items() if k not in ("n_x", "n_y")}
+    return {**manifest, "config": config}
 
 
 @pytest.fixture(scope="module")
@@ -351,6 +357,9 @@ class TestReconstructCommand:
 
         x, _ = lsqr_solve(op, sino.values, iters=40)
         np.testing.assert_array_equal(read_image(f"{prefix}.image.txt").values, x)
+        manifest = read_manifest(f"{prefix}.manifest.json")
+        assert manifest.command[-4:] == ["--max-iter", "40", "--out", str(prefix)]
+        assert manifest.config["max_iter"] == 40 and manifest.config["eta"] is None
 
     def test_reconstruct_is_deterministic(self, pipeline):
         root, _, sino_path = pipeline
@@ -384,6 +393,30 @@ class TestReconstructCommand:
             "--max-iter", 60, "--out", root / "pr",
         )
         assert result.returncode == 0, result.stderr
+
+    @pytest.mark.parametrize(
+        "target, edit",
+        [
+            ("sino", lambda text: ""),
+            ("sino", lambda text: "".join(text.splitlines(keepends=True)[:3])),
+            ("manifest", lambda text: json.dumps({**json.loads(text), "bogus": 1})),
+            ("manifest", lambda text: json.dumps(without_grid(json.loads(text)))),
+        ],
+        ids=["empty_sinogram", "truncated_sinogram_header", "unknown_manifest_key",
+             "config_without_grid"],
+    )
+    def test_malformed_input_file_is_io_error(self, pipeline, tmp_path, target, edit):
+        _, _, sino_path = pipeline
+        files = {"sino": tmp_path / "bad.sino", "manifest": tmp_path / "bad.sino.manifest.json"}
+        files["sino"].write_text(sino_path.read_text())
+        files["manifest"].write_text(Path(manifest_path_for(sino_path)).read_text())
+        files[target].write_text(edit(files[target].read_text()))
+        result = run_cli(
+            "reconstruct", "--sino", files["sino"], "--solver", "lsqr", "--out", tmp_path / "rec",
+        )
+        assert result.returncode == 3, result.stderr
+        assert str(files[target]) in result.stderr
+        assert "Traceback" not in result.stderr
 
     def test_missing_manifest_is_usage_error(self, tmp_path):
         sino_path = tmp_path / "loose.sino"

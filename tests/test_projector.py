@@ -127,7 +127,8 @@ class TestBlockedAssembly:
 
     def test_oversubscribed_pool_with_fast_switching(self):
         # more workers than cores and a short switch interval, so that the
-        # workers writing disjoint ranges of the transpose interleave often
+        # workers tracing angle blocks interleave often; the pooled blocks
+        # must still come back, and be stacked, in angle order
         geom = standard_geometry(20, 24)
         ref, ref_t = reference_assembly(geom)
         interval = sys.getswitchinterval()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dpctomo.diffops import make_diff
+from dpctomo.gbit import GBiTConfig
 from dpctomo.projector import ProjectionGeometry, build_projector, project
 from dpctomo.simlab import (
     ModelErrorSpec,
@@ -197,6 +198,21 @@ class TestExperiments:
         )
         assert result.arms["forward"].gbit_final_error < result.arms["central"].gbit_final_error
         assert result.arms["forward"].gbit_report.termination == "discrepancy_met"
+
+    def test_solver_keywords_reach_the_solver_over_gbit_config_defaults(self):
+        # unset keywords keep GBiTConfig's defaults, except the studies' cap
+        params = run_experiment("single_projection", size=16, seed=0).params
+        assert (params["eta"], params["lambda0"], params["maxcounter"], params["scheme"]) == (
+            GBiTConfig.eta, GBiTConfig.lambda0, GBiTConfig.maxcounter, GBiTConfig.update_scheme
+        )
+        assert params["max_iter"] == 200
+        result = run_experiment(
+            "single_projection", size=16, seed=0, lambda0=2.5, scheme="alternative", max_iter=3
+        )
+        assert (result.params["lambda0"], result.params["scheme"]) == (2.5, "alternative")
+        for arm in result.arms.values():
+            assert arm.gbit_report.records[0].lam_used == 2.5
+            assert arm.lsqr_report.iterations <= 3
 
     def test_experiments_are_reproducible(self):
         a = run_experiment("full_ct", size=24, angles=30, detectors=24, seed=5, max_iter=60)
