@@ -51,7 +51,6 @@ EXIT_IO = 3
 EXIT_NUMERICAL = 4
 
 _VARIANTS = {"modified": "shepp_logan_modified", "classic": "shepp_logan_classic"}
-_MAX_ITER = 200  # the CLI's iteration cap; every other solver default is GBiTConfig's
 # reconstruct's flags that only the iterative solvers read
 _SOLVER_FLAGS = ("eta", "epsilon", "lambda0", "maxcounter", "max_iter", "scheme")
 
@@ -62,15 +61,6 @@ class UsageError(Exception):
 
 class NumericalFailure(Exception):
     pass
-
-
-@contextmanager
-def _flag_values():
-    """A ValueError raised inside comes from a flag's value: a usage error."""
-    try:
-        yield
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -112,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--maxcounter", type=int, default=None,
                    help=f"extra times the stop test must hold (default {GBiTConfig.maxcounter})")
     p.add_argument("--max-iter", type=int, default=None,
-                   help=f"iteration cap (default {_MAX_ITER})")
+                   help=f"iteration cap (default {GBiTConfig.max_iter})")
     p.add_argument("--scheme", choices=["classic", "alternative"], default=None)
     p.add_argument("--truth", default=None, help="ground-truth image for the error trace")
     p.add_argument("--out", required=True, help="output prefix")
@@ -180,10 +170,9 @@ def cmd_simulate(args) -> int:
     }
     run_id = make_run_id({"command": "simulate", **config})
     clock: dict = {}
-    with _flag_values():
-        geom = ProjectionGeometry(
-            n_x=image.n_x, n_y=image.n_y, k=detectors, angles=uniform_angles(args.angles)
-        )
+    geom = ProjectionGeometry(
+        n_x=image.n_x, n_y=image.n_y, k=detectors, angles=uniform_angles(args.angles)
+    )
     with _timed(clock, "build"):
         projector = build_projector(geom)
     with _timed(clock, "simulate"):
@@ -254,27 +243,25 @@ def _resolve_epsilon(args, manifest: RunManifest) -> float | None:
 def _solver_config(args, manifest: RunManifest, truth) -> GBiTConfig:
     """The iterative solver's settings from the flags, checked before any
     work starts; ``lsqr`` runs the fixed scheme at weight zero.  Flags the
-    user left unset keep ``GBiTConfig``'s defaults, except ``max_iter``,
-    whose CLI default is ``_MAX_ITER``."""
-    x_true = truth.values if truth is not None else None
-    max_iter = args.max_iter if args.max_iter is not None else _MAX_ITER
+    user left unset keep ``GBiTConfig``'s defaults."""
     if args.solver == "lsqr":
-        config = GBiTConfig(update_scheme="fixed", lambda0=0.0, max_iter=max_iter, x_true=x_true)
+        flags = {"update_scheme": "fixed", "lambda0": 0.0}
     else:
-        flags = {"eta": args.eta, "lambda0": args.lambda0, "maxcounter": args.maxcounter,
+        flags = {"eta": args.eta, "epsilon": _resolve_epsilon(args, manifest),
+                 "lambda0": args.lambda0, "maxcounter": args.maxcounter,
                  "update_scheme": args.scheme}
-        config = GBiTConfig(
-            epsilon=_resolve_epsilon(args, manifest), max_iter=max_iter, x_true=x_true,
-            **{name: value for name, value in flags.items() if value is not None},
+    flags.update(max_iter=args.max_iter, x_true=None if truth is None else truth.values)
+    config = GBiTConfig(**{name: value for name, value in flags.items() if value is not None})
+    if config.update_scheme == "classic" and config.epsilon is None:
+        raise UsageError(
+            "gbit with the classic scheme selects the ridge weight by the "
+            "discrepancy rule, which needs the noise norm: pass --epsilon "
+            "VALUE or --epsilon manifest (or use --scheme alternative)"
         )
-        if config.update_scheme == "classic" and config.epsilon is None:
-            raise UsageError(
-                "gbit with the classic scheme selects the ridge weight by the "
-                "discrepancy rule, which needs the noise norm: pass --epsilon "
-                "VALUE or --epsilon manifest (or use --scheme alternative)"
-            )
-    with _flag_values():
+    try:
         config.validate()
+    except ValueError as exc:  # the settings come from flags: a usage error
+        raise UsageError(str(exc)) from exc
     return config
 
 
@@ -326,28 +313,24 @@ def cmd_reconstruct(args) -> int:
     report = None
     extra: dict = {}
     with _timed(clock, "solve"):
-        if args.solver == "fbp":
-            if args.model == "phase-retrieval":
-                profile = Sinogram(
-                    k=sino.k, l=sino.l,
-                    values=invert_forward(sino.values, sino.k, sino.l), h=sino.h,
-                )
-                image_out = fbp_reconstruct(profile, geom, "ramp", projector=projector)
-            else:
-                image_out = fbp_reconstruct(sino, geom, "dpc", projector=projector)
+        # phase retrieval undoes the forward difference and inverts the
+        # plain projector; the difference models keep the derivative data
+        if args.model == "phase-retrieval":
+            operator, kind = projector, "ramp"
+            data = invert_forward(sino.values, sino.k, sino.l)
         else:
-            if args.model == "phase-retrieval":
-                operator = projector
-                rhs = invert_forward(sino.values, sino.k, sino.l)
-            else:
-                operator = compose(make_diff(args.model, sino.k, sino.l), projector)
-                rhs = sino.values
+            operator, kind = compose(make_diff(args.model, sino.k, sino.l), projector), "dpc"
+            data = sino.values
+        if args.solver == "fbp":
+            profile = Sinogram(k=sino.k, l=sino.l, values=data, h=sino.h)
+            image_out = fbp_reconstruct(profile, geom, kind, projector=projector)
+        else:
             if args.solver == "lsqr":
                 x, report = lsqr_solve(
-                    operator, rhs, iters=solver_config.max_iter, x_true=solver_config.x_true
+                    operator, data, iters=solver_config.max_iter, x_true=solver_config.x_true
                 )
             else:
-                x, report = gbit_solve(operator, rhs, solver_config)
+                x, report = gbit_solve(operator, data, solver_config)
             if report.termination == "breakdown" and not report.records:
                 raise NumericalFailure(
                     f"bidiagonalization broke down ({report.breakdown}) before "

@@ -61,10 +61,11 @@ def fbp_reconstruct(
 ) -> Image:
     """Filter, back-project through the projector adjoint, and scale.
 
-    The angle quadrature weight pi/l and the detector/pixel metric
-    h / pixel_size^2 turn the adjoint accumulation into the inverse-Radon
-    normalization.  Derivative-filtered ("dpc") reconstructions are
-    mean-adjusted because the filter zeroes the unrecoverable constant.
+    The angle quadrature weight pi/l and the detector spacing h (the
+    pixels are unit squares) turn the adjoint accumulation into the
+    inverse-Radon normalization.  Derivative-filtered ("dpc")
+    reconstructions are mean-adjusted because the filter zeroes the
+    unrecoverable constant.
     """
     if (sino.k, sino.l) != (geom.k, geom.l):
         raise ValueError(
@@ -74,7 +75,7 @@ def fbp_reconstruct(
     # filtering first rejects an unknown kind before a projector is built
     filtered = filter_sinogram(sino, kind)
     op = projector if projector is not None else build_projector(geom)
-    scale = np.pi * geom.h / (geom.l * geom.pixel_size**2)
+    scale = np.pi * geom.h / geom.l
     values = op.apply_transpose(filtered.values) * scale
     if kind == "dpc":
         values = values - values.mean()

@@ -33,9 +33,27 @@ def _fmt(value: float) -> str:
     return format(float(value), ".17g")
 
 
-def _finite(path, values: list[float]) -> np.ndarray:
-    """The values as an array; NaN or inf is refused where it enters."""
-    arr = np.asarray(values, dtype=np.float64)
+def _positive(path, name: str, line: str, kind):
+    """A header field read as ``kind`` (int or float), finite and above zero."""
+    try:
+        value = kind(line)
+    except ValueError:
+        value = 0
+    if not 0 < value < np.inf:
+        raise ValueError(f"{path}: header field {name} must be a positive finite {kind.__name__}, "
+                         f"got {line.strip()!r}")
+    return value
+
+
+def _values(path, lines, count: int) -> np.ndarray:
+    """The ``count`` data values, one per non-blank line; a malformed,
+    missing or extra value, and NaN or inf, are refused where they enter."""
+    try:
+        arr = np.array([float(line) for line in lines if line.strip()], dtype=np.float64)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    if arr.size != count:
+        raise ValueError(f"{path}: expected {count} data values, got {arr.size}")
     bad = np.flatnonzero(~np.isfinite(arr))
     if bad.size:
         raise ValueError(
@@ -61,9 +79,9 @@ def read_image(path) -> Image:
         magic = fh.readline().split()
         if not magic or magic[0] != IMAGE_MAGIC:
             raise ValueError(f"{path}: not an image file (bad magic line)")
-        n_x = int(fh.readline())
-        n_y = int(fh.readline())
-        values = _finite(path, [float(line) for line in fh if line.strip()])
+        n_x = _positive(path, "n_x", fh.readline(), int)
+        n_y = _positive(path, "n_y", fh.readline(), int)
+        values = _values(path, fh, n_x * n_y)
     return Image(n_x=n_x, n_y=n_y, values=values)
 
 
@@ -99,11 +117,24 @@ def read_sinogram(path) -> Sinogram:
         if len(header) < 5:
             raise ValueError(f"{path}: truncated header ({len(header)} of 5 lines)")
         _, k, l, h, ordering = header
-        k, l, h, ordering = int(k), int(l), float(h), ordering.strip()
+        k, l = _positive(path, "k", k, int), _positive(path, "l", l, int)
+        h, ordering = _positive(path, "h", h, float), ordering.strip()
         if ordering != "ordering=angle-major":
             raise ValueError(f"{path}: unsupported ordering {ordering!r}")
-        values = _finite(path, [float(line) for line in lines if line.strip()])
+        values = _values(path, lines, k * l)
     return Sinogram(k=k, l=l, values=values, h=h)
+
+
+# the report CSV's columns, each with the IterationRecord field it holds
+_REPORT_COLUMNS = (
+    ("iter", "iteration"),
+    ("phi0", "phi0"),
+    ("phi_lambda", "phi_lambda"),
+    ("lambda", "lam"),
+    ("lambda_used", "lam_used"),
+    ("rel_error", "rel_error"),
+    ("residual", "residual"),
+)
 
 
 def write_report_csv(path, report: GBiTReport, run_id: str = "-") -> None:
@@ -114,39 +145,20 @@ def write_report_csv(path, report: GBiTReport, run_id: str = "-") -> None:
     with open(path, "w", newline="") as fh:
         fh.write(f"# manifest: {run_id}\n")
         writer = csv.writer(fh)
-        writer.writerow(
-            ["iter", "phi0", "phi_lambda", "lambda", "lambda_used", "rel_error", "residual"]
-        )
+        writer.writerow([column for column, _ in _REPORT_COLUMNS])
         for rec in report.records:
-            writer.writerow(
-                [
-                    rec.iteration,
-                    _fmt(rec.phi0),
-                    _fmt(rec.phi_lambda),
-                    _fmt(rec.lam),
-                    _fmt(rec.lam_used),
-                    "" if rec.rel_error is None else _fmt(rec.rel_error),
-                    "" if rec.residual is None else _fmt(rec.residual),
-                ]
-            )
+            cells = (getattr(rec, name) for _, name in _REPORT_COLUMNS)
+            writer.writerow(["" if value is None else _fmt(value) for value in cells])
 
 
 def read_report_csv(path) -> list[dict]:
+    """The trace by column name; an empty cell reads as None."""
     rows = []
     with open(path) as fh:
-        reader = csv.DictReader(line for line in fh if not line.startswith("#"))
-        for row in reader:
-            rows.append(
-                {
-                    "iter": int(row["iter"]),
-                    "phi0": float(row["phi0"]),
-                    "phi_lambda": float(row["phi_lambda"]),
-                    "lambda": float(row["lambda"]),
-                    "lambda_used": float(row["lambda_used"]),
-                    "rel_error": float(row["rel_error"]) if row["rel_error"] else None,
-                    "residual": float(row["residual"]) if row["residual"] else None,
-                }
-            )
+        for row in csv.DictReader(line for line in fh if not line.startswith("#")):
+            cells = {column: float(row[column]) if row[column] else None
+                     for column, _ in _REPORT_COLUMNS}
+            rows.append({**cells, "iter": int(row["iter"])})
     return rows
 
 

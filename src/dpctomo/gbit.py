@@ -2,11 +2,11 @@
 regularization.
 
 The decomposition is the Paige-Saunders lower-bidiagonal recursion started
-from the normalized initial residual.  Both basis sequences are
-reorthogonalized (classical Gram-Schmidt, applied twice, against all
-stored columns), which keeps the projected residual of the small
-bidiagonal problem equal to the true residual of the full problem to
-near machine precision.  ``gbit_solve`` allocates each basis once, with
+from the normalized right-hand side: the iteration starts from zero.  Both
+basis sequences are reorthogonalized (classical Gram-Schmidt, applied
+twice, against all stored columns), which keeps the projected residual of
+the small bidiagonal problem equal to the true residual of the full
+problem to near machine precision.  ``gbit_solve`` allocates each basis once, with
 room for its iteration cap; a decomposition made without a capacity
 doubles its bases as it grows.
 
@@ -53,14 +53,10 @@ class BidiagDecomposition:
     the used count are never read.
     """
 
-    def __init__(self, operator: LinearOperator, rhs, x0=None, capacity: int | None = None):
+    def __init__(self, operator: LinearOperator, rhs, capacity: int | None = None):
         self.operator = operator
         b = as_vector(rhs, operator.rows, "right-hand side")
-        if x0 is not None:
-            r0 = b - operator.apply(as_vector(x0, operator.cols, "initial guess"))
-        else:
-            r0 = b.copy()
-        self.r0_norm = float(np.linalg.norm(r0))
+        self.r0_norm = float(np.linalg.norm(b))
         self.breakdown: str | None = None
         self._alphas: list[float] = []
         self._betas: list[float] = []
@@ -74,7 +70,7 @@ class BidiagDecomposition:
         if self.r0_norm == 0.0:
             self.breakdown = "zero_residual"
         else:
-            self._u[:, 0] = r0 / self.r0_norm
+            self._u[:, 0] = b / self.r0_norm
             self._nu = 1
 
     @property
@@ -238,17 +234,15 @@ def _coefficients(alphas, betas):
     return alphas, betas
 
 
-def solve_lsqr_subproblem(alphas, betas, r0_norm, qr: BidiagQR | None = None):
+def solve_lsqr_subproblem(alphas, betas, r0_norm, qr: BidiagQR):
     """Unregularized projected solve; the residual equals the residual of
     the full least-squares iterate by orthonormality of the left basis.
 
     ``qr`` is the running factorization of earlier, shorter sequences
-    with the same ``r0_norm``; it is extended in place.  Without it the
-    columns are factored from scratch, with the same result.
+    with the same ``r0_norm``, started as ``BidiagQR(r0_norm)``; it is
+    extended in place.
     """
     alphas, betas = _coefficients(alphas, betas)
-    if qr is None:
-        qr = BidiagQR(float(r0_norm))
     y = qr.extend(alphas, betas).solve()
     return y, _projected_residual(alphas, betas, y, float(r0_norm))
 
@@ -307,10 +301,9 @@ class GBiTConfig:
     eta: float = 1.01
     epsilon: float | None = None
     lambda0: float = 1.0
-    max_iter: int = 100
+    max_iter: int = 200
     maxcounter: int = 3
     update_scheme: str = "classic"
-    x0: np.ndarray | None = None
     x_true: np.ndarray | None = None
     track_residual: bool = False
 
@@ -360,7 +353,7 @@ class IterationRecord:
 
 @dataclass
 class GBiTReport:
-    """Per-iteration trace plus the final iterate and termination reason.
+    """Per-iteration trace and termination reason.
 
     ``breakdown`` is the decomposition's cause (``zero_residual``,
     ``alpha`` or ``beta``), or None if it never broke down; it is set
@@ -369,8 +362,6 @@ class GBiTReport:
 
     records: list[IterationRecord]
     termination: str  # discrepancy_met | max_iter | breakdown
-    solution: np.ndarray
-    r0_norm: float
     breakdown: str | None = None
 
     @property
@@ -404,8 +395,8 @@ def _require_finite(**named):
             raise FloatingPointError(f"solver trace produced a non-finite {name}: {value}")
 
 
-def gbit_solve(A: LinearOperator, b, config: GBiTConfig | None = None):
-    """Run the regularized bidiagonalization iteration on A x = b.
+def gbit_solve(A: LinearOperator, b, config: GBiTConfig):
+    """Run the regularized bidiagonalization iteration on A x = b from zero.
 
     Per iteration: one decomposition step, the unregularized projected
     solve, the regularized projected solve at the current weight, then the
@@ -420,19 +411,13 @@ def gbit_solve(A: LinearOperator, b, config: GBiTConfig | None = None):
     projected problem, since the secant update needs no new columns; the
     ``fixed`` scheme returns at once because its iterate can no longer
     change.  A run that ends with the subspace exhausted and the stop rule
-    unmet reports ``breakdown``.  A non-finite ``b``, ``x0`` or ``x_true``
-    raises ValueError.
+    unmet reports ``breakdown``.  A non-finite ``b`` or ``x_true`` raises
+    ValueError; a zero ``b`` returns the zero vector with no iterations.
     """
-    config = config or GBiTConfig()
     config.validate()
     b = as_vector(b, A.rows, "right-hand side")
-    if config.x0 is not None:
-        x0 = as_vector(config.x0, A.cols, "initial guess").copy()
-    else:
-        x0 = np.zeros(A.cols)
     x_true = None if config.x_true is None else as_vector(config.x_true, A.cols, "ground truth")
-    checked = (("right-hand side b", b), ("initial guess x0", x0), ("ground truth x_true", x_true))
-    for name, vector in checked:
+    for name, vector in (("right-hand side b", b), ("ground truth x_true", x_true)):
         if vector is not None and not np.isfinite(vector).all():
             raise ValueError(f"{name} holds NaN or inf")
     if x_true is not None:
@@ -440,18 +425,16 @@ def gbit_solve(A: LinearOperator, b, config: GBiTConfig | None = None):
         if true_norm == 0.0:
             raise ValueError("ground-truth vector must be nonzero for the error trace")
 
-    capacity = min(config.max_iter, A.rows, A.cols)
-    dec = BidiagDecomposition(A, b, x0=config.x0, capacity=capacity)
+    dec = BidiagDecomposition(A, b, capacity=min(config.max_iter, A.rows, A.cols))
     records: list[IterationRecord] = []
     if dec.r0_norm == 0.0:
-        return x0, GBiTReport(records, "discrepancy_met", x0, 0.0, dec.breakdown)
+        return np.zeros(A.cols), GBiTReport(records, "discrepancy_met", dec.breakdown)
     qr = BidiagQR(dec.r0_norm)
 
     lam = float(config.lambda0)
     phi0_prev = dec.r0_norm
     counter = 0
-    y_current = None
-    termination = "max_iter"
+    y_current = np.zeros(0)  # no columns yet: the zero iterate
 
     for it in range(1, config.max_iter + 1):
         grew = dec.step()
@@ -483,7 +466,7 @@ def gbit_solve(A: LinearOperator, b, config: GBiTConfig | None = None):
         rel_error = None
         residual = None
         if x_true is not None or config.track_residual:
-            x_it = x0 + dec.V @ y_lam
+            x_it = dec.V @ y_lam
             if x_true is not None:
                 rel_error = float(np.linalg.norm(x_it - x_true) / true_norm)
             if config.track_residual:
@@ -509,11 +492,10 @@ def gbit_solve(A: LinearOperator, b, config: GBiTConfig | None = None):
     else:
         termination = "max_iter" if dec.breakdown is None else "breakdown"
 
-    x = x0 + dec.V @ y_current if y_current is not None else x0
-    return x, GBiTReport(records, termination, x, dec.r0_norm, dec.breakdown)
+    return dec.V @ y_current, GBiTReport(records, termination, dec.breakdown)
 
 
-def lsqr_solve(A: LinearOperator, b, iters: int, x0=None, x_true=None):
+def lsqr_solve(A: LinearOperator, b, iters: int, x_true=None):
     """Unregularized iteration: the solver loop with the ridge weight
     pinned to zero and no stop test, so each iterate is the plain
     projected least-squares solution.  The ``phi0`` column of the report
@@ -522,7 +504,6 @@ def lsqr_solve(A: LinearOperator, b, iters: int, x0=None, x_true=None):
         update_scheme="fixed",
         lambda0=0.0,
         max_iter=int(iters),
-        x0=x0,
         x_true=x_true,
     )
     return gbit_solve(A, b, config)

@@ -44,13 +44,13 @@ def uniform_angles(l: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ProjectionGeometry:
-    """Grid, detector and angle layout defining the projector's shape."""
+    """Grid, detector and angle layout defining the projector's shape; the
+    pixels are unit squares, in the units of the detector spacing ``h``."""
 
     n_x: int
     n_y: int
     k: int
     angles: np.ndarray
-    pixel_size: float = 1.0
     h: float = 1.0
 
     def __post_init__(self):
@@ -61,8 +61,8 @@ class ProjectionGeometry:
             raise ValueError(f"grid must be at least 1x1, got {self.n_x}x{self.n_y}")
         if self.k < 1:
             raise ValueError(f"need at least one detector, got k={self.k}")
-        if self.pixel_size <= 0 or self.h <= 0:
-            raise ValueError("pixel_size and detector spacing h must be positive")
+        if not 0 < self.h < np.inf:
+            raise ValueError(f"detector spacing h must be positive and finite, got {self.h}")
         if angles.size < 1:
             raise ValueError("need at least one projection angle")
         if np.any(angles < 0.0) or np.any(angles >= np.pi):
@@ -136,9 +136,8 @@ def _trace_angle(geom: ProjectionGeometry, theta: float, work: np.ndarray):
     ``work`` is scratch space of shape (4, k * (n_x + n_y + 4)); reusing
     it across angles spares the page faults of fresh temporaries.
     """
-    nx, ny, ps = geom.n_x, geom.n_y, geom.pixel_size
-    x_min = -0.5 * nx * ps
-    y_min = -0.5 * ny * ps
+    nx, ny = geom.n_x, geom.n_y
+    x_min, y_min = -0.5 * nx, -0.5 * ny
     cos_t, sin_t = np.cos(theta), np.sin(theta)
     t = (np.arange(geom.k) - 0.5 * (geom.k - 1)) * geom.h
     p0x, p0y = t * cos_t, t * sin_t
@@ -146,8 +145,8 @@ def _trace_angle(geom: ProjectionGeometry, theta: float, work: np.ndarray):
 
     # one row per ray: its crossing parameters with each family of grid
     # planes it is not parallel to, then its entry and exit parameters
-    xplanes = x_min + ps * np.arange(nx + 1)
-    yplanes = y_min + ps * np.arange(ny + 1)
+    xplanes = x_min + np.arange(nx + 1)
+    yplanes = y_min + np.arange(ny + 1)
     width = (nx + 1) * (dx != 0.0) + (ny + 1) * (dy != 0.0) + 2
 
     def scratch(i, cols):
@@ -184,16 +183,15 @@ def _trace_angle(geom: ProjectionGeometry, theta: float, work: np.ndarray):
     mids *= 0.5
 
     def cell(p0, d, lo, out):
-        # floor((p0 + mid * d - lo) / ps), the grid index along one axis
+        # floor(p0 + mid * d - lo), the grid index along one axis
         np.multiply(mids, d, out=out)
         out += p0[:, None]
         out -= lo
-        out /= ps
         return np.floor(out, out=out)
 
     ix = cell(p0x, dx, x_min, scratch(3, width - 1))
     iy = cell(p0y, dy, y_min, mids)
-    valid = lengths > 1e-12 * ps
+    valid = lengths > 1e-12
     valid &= hit[:, None]
     valid &= ix >= 0
     valid &= ix < nx

@@ -236,14 +236,14 @@ _SOLVER_KEYS = {
     "maxcounter": "maxcounter",
     "scheme": "update_scheme",
 }
-_MAX_ITER = 200  # the studies' iteration cap; every other solver default is GBiTConfig's
 
 
 def _solver_config(params: dict) -> tuple[GBiTConfig, dict]:
-    """The solver settings from the keywords the caller set, and those
-    settings under their keyword names for the result's parameters."""
+    """The solver settings from the keywords the caller set over
+    ``GBiTConfig``'s defaults, and those settings under their keyword
+    names for the result's parameters."""
     given = {name: params[key] for key, name in _SOLVER_KEYS.items() if key in params}
-    config = GBiTConfig(**{"max_iter": _MAX_ITER, **given})
+    config = GBiTConfig(**given)
     return config, {key: getattr(config, name) for key, name in _SOLVER_KEYS.items()}
 
 

@@ -12,7 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dpctomo.diffops import make_diff
+from dpctomo.diffops import invert_forward, make_diff
+from dpctomo.fbp import fbp_reconstruct
 from dpctomo.fileio import (
     RunManifest,
     manifest_path_for,
@@ -26,7 +27,7 @@ from dpctomo.fileio import (
     write_report_csv,
     write_sinogram,
 )
-from dpctomo.gbit import GBiTReport, IterationRecord
+from dpctomo.gbit import GBiTConfig, GBiTReport, IterationRecord
 from dpctomo.linops import compose
 from dpctomo.projector import Image, Sinogram, build_projector, standard_geometry
 from dpctomo.simlab import PhantomSpec, make_phantom
@@ -81,9 +82,15 @@ class TestFileFormats:
             IterationRecord(1, 2.5, 3.5, 0.125, 1.0, None, None),
             IterationRecord(2, 1.25, 1.75, 0.5, 0.125, 0.375, None),
         ]
-        report = GBiTReport(records, "max_iter", np.zeros(2), 4.0)
+        report = GBiTReport(records, "max_iter")
         path = tmp_path / "trace.csv"
         write_report_csv(path, report, run_id="r2")
+        assert path.read_bytes() == (
+            b"# manifest: r2\n"
+            b"iter,phi0,phi_lambda,lambda,lambda_used,rel_error,residual\r\n"
+            b"1,2.5,3.5,0.125,1,,\r\n"
+            b"2,1.25,1.75,0.5,0.125,0.375,\r\n"
+        )
         rows = read_report_csv(path)
         assert rows[0]["rel_error"] is None
         assert rows[1] == {
@@ -97,7 +104,7 @@ class TestFileFormats:
             IterationRecord(2, 1.25, 1.75, 0.5, 0.125, 0.375, 1.7499999999999998),
         ]
         path = tmp_path / "trace.csv"
-        write_report_csv(path, GBiTReport(records, "max_iter", np.zeros(2), 4.0))
+        write_report_csv(path, GBiTReport(records, "max_iter"))
         assert path.read_text().splitlines()[1].endswith(",rel_error,residual")
         rows = read_report_csv(path)
         assert [row["residual"] for row in rows] == [r.residual for r in records]
@@ -120,6 +127,14 @@ class TestFileFormats:
         with pytest.raises(ValueError, match="m.sino.*non-finite.*data value 5 "):
             read_sinogram(sino_path)
 
+    @pytest.mark.parametrize("h", ["nan", "inf", "-inf", "0", "-1", "abc"])
+    def test_bad_spacing_rejected_naming_the_file(self, tmp_path, h):
+        path = tmp_path / "m.sino"
+        write_sinogram(path, Sinogram(k=3, l=2, values=np.arange(6.0)))
+        path.write_text(with_line(path.read_text(), 3, h))
+        with pytest.raises(ValueError, match=f"m.sino: header field h .*{h!r}"):
+            read_sinogram(path)
+
     def test_manifest_roundtrip(self, tmp_path):
         manifest = RunManifest(
             run_id="m1", command=["phantom"], config={"size": 8}, seed=3,
@@ -135,6 +150,12 @@ class TestFileFormats:
         path.write_text("NOT-AN-IMAGE\n2\n2\n0\n0\n0\n0\n")
         with pytest.raises(ValueError):
             read_image(path)
+
+
+def with_line(text: str, index: int, line: str) -> str:
+    lines = text.splitlines()
+    lines[index] = line
+    return "\n".join(lines) + "\n"
 
 
 def without_grid(manifest: dict) -> dict:
@@ -252,12 +273,23 @@ class TestSimulateCommand:
         assert not (tmp_path / "s.sino").exists()
 
     def test_malformed_phantom_is_io_error(self, tmp_path):
-        phantom_path = tmp_path / "p.txt"
-        phantom_path.write_text("DPCTOMO-IMAGE-1 -\n2\n2\n1.0\nnot-a-number\n0\n0\n")
-        result = run_cli(
-            "simulate", "--phantom", phantom_path, "--angles", 10, "--out", tmp_path / "s.sino",
-        )
-        assert result.returncode == 3
+        cases = {
+            "bad_value": "DPCTOMO-IMAGE-1 -\n2\n2\n1.0\nnot-a-number\n0\n0\n",
+            "cut_after_magic": "DPCTOMO-IMAGE-1 -\n",
+            "cut_after_n_x": "DPCTOMO-IMAGE-1 -\n2\n",
+            "negative_grid": "DPCTOMO-IMAGE-1 -\n-2\n-2\n0\n0\n0\n0\n",
+            "missing_values": "DPCTOMO-IMAGE-1 -\n2\n2\n0\n0\n",
+        }
+        for name, text in cases.items():
+            phantom_path = tmp_path / f"{name}.txt"
+            phantom_path.write_text(text)
+            result = run_cli(
+                "simulate", "--phantom", phantom_path, "--angles", 10,
+                "--out", tmp_path / "s.sino",
+            )
+            assert result.returncode == 3, (name, result.stderr)
+            assert str(phantom_path) in result.stderr, name
+            assert "Traceback" not in result.stderr, name
 
 
 class TestReconstructCommand:
@@ -361,6 +393,21 @@ class TestReconstructCommand:
         assert manifest.command[-4:] == ["--max-iter", "40", "--out", str(prefix)]
         assert manifest.config["max_iter"] == 40 and manifest.config["eta"] is None
 
+    def test_fbp_phase_retrieval_matches_library(self, pipeline):
+        # phase retrieval undoes the forward difference, then filters
+        # with the ramp
+        root, _, sino_path = pipeline
+        prefix = root / "fbp_pr"
+        result = run_cli(
+            "reconstruct", "--sino", sino_path, "--solver", "fbp",
+            "--model", "phase-retrieval", "--out", prefix,
+        )
+        assert result.returncode == 0, result.stderr
+        sino = read_sinogram(sino_path)
+        profile = Sinogram(k=sino.k, l=sino.l, values=invert_forward(sino.values, sino.k, sino.l))
+        image = fbp_reconstruct(profile, standard_geometry(24, sino.l), "ramp")
+        np.testing.assert_array_equal(read_image(f"{prefix}.image.txt").values, image.values)
+
     def test_reconstruct_is_deterministic(self, pipeline):
         root, _, sino_path = pipeline
         blobs = []
@@ -399,10 +446,15 @@ class TestReconstructCommand:
         [
             ("sino", lambda text: ""),
             ("sino", lambda text: "".join(text.splitlines(keepends=True)[:3])),
+            ("sino", lambda text: with_line(text, 1, "abc")),
+            ("sino", lambda text: "".join(text.splitlines(keepends=True)[:-3])),
+            ("sino", lambda text: with_line(text, 3, "nan")),
+            ("sino", lambda text: with_line(text, 3, "inf")),
             ("manifest", lambda text: json.dumps({**json.loads(text), "bogus": 1})),
             ("manifest", lambda text: json.dumps(without_grid(json.loads(text)))),
         ],
-        ids=["empty_sinogram", "truncated_sinogram_header", "unknown_manifest_key",
+        ids=["empty_sinogram", "truncated_sinogram_header", "k_not_an_integer",
+             "missing_values", "nan_spacing", "inf_spacing", "unknown_manifest_key",
              "config_without_grid"],
     )
     def test_malformed_input_file_is_io_error(self, pipeline, tmp_path, target, edit):
@@ -417,6 +469,28 @@ class TestReconstructCommand:
         assert result.returncode == 3, result.stderr
         assert str(files[target]) in result.stderr
         assert "Traceback" not in result.stderr
+
+    @pytest.mark.parametrize("h", ["nan", "inf"])
+    def test_fbp_refuses_nonfinite_spacing(self, pipeline, tmp_path, h):
+        # the filter and the back-projection scale would spread it over
+        # every pixel
+        _, _, sino_path = pipeline
+        bad = tmp_path / "bad.sino"
+        bad.write_text(with_line(sino_path.read_text(), 3, h))
+        (tmp_path / "bad.sino.manifest.json").write_text(
+            Path(manifest_path_for(sino_path)).read_text()
+        )
+        result = run_cli("reconstruct", "--sino", bad, "--solver", "fbp", "--out", tmp_path / "rec")
+        assert result.returncode == 3
+        assert str(bad) in result.stderr and "header field h " in result.stderr
+        assert not (tmp_path / "rec.image.txt").exists()
+
+    def test_lsqr_default_cap_is_the_solver_default(self, pipeline, tmp_path):
+        _, _, sino_path = pipeline
+        prefix = tmp_path / "rec"
+        result = run_cli("reconstruct", "--sino", sino_path, "--solver", "lsqr", "--out", prefix)
+        assert result.returncode == 0, result.stderr
+        assert len(read_report_csv(f"{prefix}.report.csv")) == GBiTConfig.max_iter == 200
 
     def test_missing_manifest_is_usage_error(self, tmp_path):
         sino_path = tmp_path / "loose.sino"

@@ -33,9 +33,8 @@ from oracles import densify
 
 
 def clipping_oracle(geom):
-    """Dense weight matrix via per-pixel box clipping."""
-    ps = geom.pixel_size
-    x_min, y_min = -0.5 * geom.n_x * ps, -0.5 * geom.n_y * ps
+    """Dense weight matrix via per-pixel box clipping of unit pixels."""
+    x_min, y_min = -0.5 * geom.n_x, -0.5 * geom.n_y
     weights = np.zeros((geom.m, geom.n))
     t = (np.arange(geom.k) - 0.5 * (geom.k - 1)) * geom.h
     for a, theta in enumerate(geom.angles):
@@ -47,8 +46,8 @@ def clipping_oracle(geom):
                     lo, hi = -np.inf, np.inf
                     miss = False
                     for p, dd, blo, bhi in (
-                        (p0[0], d[0], x_min + ix * ps, x_min + (ix + 1) * ps),
-                        (p0[1], d[1], y_min + iy * ps, y_min + (iy + 1) * ps),
+                        (p0[0], d[0], x_min + ix, x_min + ix + 1),
+                        (p0[1], d[1], y_min + iy, y_min + iy + 1),
                     ):
                         if dd == 0.0:
                             if not blo <= p <= bhi:
@@ -94,9 +93,7 @@ ASSEMBLY_GEOMETRIES = {
     "square": standard_geometry(12, 20),
     "nx_ne_ny": ProjectionGeometry(n_x=13, n_y=7, k=13, angles=uniform_angles(11)),
     "k_ne_n": standard_geometry(10, 9, detectors=17),
-    "scaled_pixels_and_detectors": ProjectionGeometry(
-        n_x=9, n_y=11, k=14, angles=uniform_angles(10), pixel_size=0.7, h=1.3
-    ),
+    "scaled_h": ProjectionGeometry(n_x=9, n_y=11, k=14, angles=uniform_angles(10), h=1.3),
     "one_angle": ProjectionGeometry(n_x=8, n_y=8, k=8, angles=[0.3]),
     "angles_not_a_multiple_of_blocks": standard_geometry(9, 13),
     "axis_angles": ProjectionGeometry(
@@ -248,7 +245,7 @@ class TestGeometricInvariants:
 @st.composite
 def geometries(draw):
     """Small geometries with a non-square grid, k unequal to either grid
-    side, and pixel size and detector spacing other than 1."""
+    side, and a detector spacing other than 1."""
     n_x = draw(st.integers(1, 9))
     n_y = draw(st.integers(1, 9).filter(lambda v: v != n_x))
     k = draw(st.integers(2, 13).filter(lambda v: v not in (n_x, n_y)))
@@ -262,7 +259,7 @@ def geometries(draw):
     )
     return ProjectionGeometry(
         n_x=n_x, n_y=n_y, k=k, angles=draw(st.lists(angle, min_size=1, max_size=5)),
-        pixel_size=draw(spacing), h=draw(spacing),
+        h=draw(spacing),
     )
 
 
@@ -270,7 +267,7 @@ def chord_lengths(geom, edge_tol=1e-9):
     """Analytic length of each ray inside the grid rectangle, angle-major;
     NaN for a ray within ``edge_tol`` of the rectangle's outer edge, whose
     traced length depends on rounding."""
-    half_w, half_h = 0.5 * geom.n_x * geom.pixel_size, 0.5 * geom.n_y * geom.pixel_size
+    half_w, half_h = 0.5 * geom.n_x, 0.5 * geom.n_y
     t = (np.arange(geom.k) - 0.5 * (geom.k - 1)) * geom.h
     out = []
     for theta in geom.angles:
@@ -345,6 +342,11 @@ class TestDataTypes:
             ProjectionGeometry(n_x=4, n_y=4, k=0, angles=[0.0])
         with pytest.raises(ValueError):
             ProjectionGeometry(n_x=4, n_y=4, k=4, angles=[0.0], h=0.0)
+
+    @pytest.mark.parametrize("h", [np.nan, np.inf, -1.0])
+    def test_detector_spacing_must_be_positive_and_finite(self, h):
+        with pytest.raises(ValueError, match="detector spacing h"):
+            ProjectionGeometry(n_x=4, n_y=4, k=4, angles=[0.0], h=h)
 
     def test_project_shape_checks(self):
         geom = standard_geometry(4, 3)
