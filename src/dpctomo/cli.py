@@ -51,8 +51,9 @@ EXIT_IO = 3
 EXIT_NUMERICAL = 4
 
 _VARIANTS = {"modified": "shepp_logan_modified", "classic": "shepp_logan_classic"}
-# reconstruct's flags that only the iterative solvers read
+# reconstruct's solver flags, and the ones each solver reads
 _SOLVER_FLAGS = ("eta", "epsilon", "lambda0", "maxcounter", "max_iter", "scheme")
+_FLAGS_READ = {"gbit": _SOLVER_FLAGS, "lsqr": ("max_iter",), "fbp": ()}
 
 
 class UsageError(Exception):
@@ -154,6 +155,11 @@ def cmd_simulate(args) -> int:
         # the difference stencils need blocks of at least two detectors
         raise UsageError(f"--detectors must be >= 2, got {args.detectors}")
     image = read_image(args.phantom)
+    if args.detectors is None and image.n_x < 2:
+        raise ValueError(
+            f"{args.phantom}: the image is {image.n_x} pixel wide, and the detector "
+            "count defaults to the width; pass --detectors N with N >= 2"
+        )
     detectors = args.detectors if args.detectors is not None else image.n_x
     config = {
         "phantom": args.phantom,
@@ -276,20 +282,26 @@ def cmd_reconstruct(args) -> int:
             "the reconstruction comes from the manifest written by 'simulate'"
         )
     try:
-        n_x = int(manifest_in.config["n_x"])
-        n_y = int(manifest_in.config["n_y"])
+        geom = ProjectionGeometry(
+            n_x=int(manifest_in.config["n_x"]), n_y=int(manifest_in.config["n_y"]),
+            k=sino.k, angles=uniform_angles(sino.l), h=sino.h,
+        )
     except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"{manifest_path}: config carries no grid size n_x, n_y") from exc
+        raise ValueError(
+            f"{manifest_path}: config carries no valid grid size n_x, n_y ({exc})"
+        ) from exc
 
-    if args.solver == "fbp":
-        ignored = [_flag(n) for n in _SOLVER_FLAGS if getattr(args, n) is not None]
-        if ignored:
-            print(f"warning: fbp ignores solver-only flags: {', '.join(ignored)}", file=sys.stderr)
+    ignored = [
+        _flag(n) for n in _SOLVER_FLAGS
+        if n not in _FLAGS_READ[args.solver] and getattr(args, n) is not None
+    ]
+    if ignored:
+        print(f"warning: {args.solver} ignores the flags {', '.join(ignored)}", file=sys.stderr)
 
     truth = None
     if args.truth is not None:
         truth = read_image(args.truth)
-        if (truth.n_x, truth.n_y) != (n_x, n_y):
+        if (truth.n_x, truth.n_y) != (geom.n_x, geom.n_y):
             raise UsageError("--truth grid does not match the sinogram's manifest grid")
     solver_config = None if args.solver == "fbp" else _solver_config(args, manifest_in, truth)
 
@@ -299,15 +311,12 @@ def cmd_reconstruct(args) -> int:
         "model": args.model,
         **{name: getattr(args, name) for name in _SOLVER_FLAGS},
         "truth": args.truth,
-        "n_x": n_x,
-        "n_y": n_y,
+        "n_x": geom.n_x,
+        "n_y": geom.n_y,
     }
     run_id = make_run_id({"command": "reconstruct", **config})
     clock: dict = {}
     with _timed(clock, "build"):
-        geom = ProjectionGeometry(
-            n_x=n_x, n_y=n_y, k=sino.k, angles=uniform_angles(sino.l), h=sino.h
-        )
         projector = build_projector(geom)
 
     report = None
@@ -336,7 +345,7 @@ def cmd_reconstruct(args) -> int:
                     f"bidiagonalization broke down ({report.breakdown}) before "
                     "producing any iterate"
                 )
-            image_out = Image(n_x=n_x, n_y=n_y, values=x)
+            image_out = Image(n_x=geom.n_x, n_y=geom.n_y, values=x)
             extra["termination"] = report.termination
             extra["breakdown"] = report.breakdown
             extra["iterations"] = report.iterations

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .projector import Image, ParallelProjector, ProjectionGeometry, Sinogram, build_projector
+from .projector import Image, ParallelProjector, ProjectionGeometry, Sinogram
 
 FILTER_KINDS = ("ramp", "dpc")
 
@@ -54,10 +54,7 @@ def filter_sinogram(sino: Sinogram, kind: str) -> Sinogram:
 
 
 def fbp_reconstruct(
-    sino: Sinogram,
-    geom: ProjectionGeometry,
-    kind: str,
-    projector: ParallelProjector | None = None,
+    sino: Sinogram, geom: ProjectionGeometry, kind: str, projector: ParallelProjector
 ) -> Image:
     """Filter, back-project through the projector adjoint, and scale.
 
@@ -67,16 +64,14 @@ def fbp_reconstruct(
     reconstructions are mean-adjusted because the filter zeroes the
     unrecoverable constant.
     """
-    if (sino.k, sino.l) != (geom.k, geom.l):
+    if (sino.k, sino.l, sino.h) != (geom.k, geom.l, geom.h):
         raise ValueError(
-            f"sinogram layout k={sino.k}, l={sino.l} does not match geometry "
-            f"k={geom.k}, l={geom.l}"
+            f"sinogram layout k={sino.k}, l={sino.l}, h={sino.h} does not match "
+            f"geometry k={geom.k}, l={geom.l}, h={geom.h}"
         )
-    # filtering first rejects an unknown kind before a projector is built
     filtered = filter_sinogram(sino, kind)
-    op = projector if projector is not None else build_projector(geom)
     scale = np.pi * geom.h / geom.l
-    values = op.apply_transpose(filtered.values) * scale
+    values = projector.apply_transpose(filtered.values) * scale
     if kind == "dpc":
         values = values - values.mean()
     return Image(n_x=geom.n_x, n_y=geom.n_y, values=values)

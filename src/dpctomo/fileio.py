@@ -87,17 +87,16 @@ def read_image(path) -> Image:
 
 def write_image_pgm(path, image: Image) -> None:
     """16-bit binary graymap, max-normalized (viewing sidecar, lossy)."""
-    values = image.values
-    lo, hi = float(values.min()), float(values.max())
+    rows = image.as_matrix()
+    lo, hi = float(rows.min()), float(rows.max())
     span = hi - lo
     if span > 0.0:
-        scaled = ((values - lo) / span * 65535.0).round().astype(">u2")
+        scaled = ((rows - lo) / span * 65535.0).round().astype(">u2")
     else:
-        scaled = ((values * 0).astype(">u2"))
-    rows = scaled.reshape(image.n_y, image.n_x, order="F")
+        scaled = (rows * 0).astype(">u2")
     with open(path, "wb") as fh:
         fh.write(f"P5\n{image.n_x} {image.n_y}\n65535\n".encode())
-        fh.write(rows.tobytes())
+        fh.write(scaled.tobytes())
 
 
 def write_sinogram(path, sino: Sinogram, run_id: str = "-") -> None:

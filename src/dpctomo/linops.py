@@ -54,10 +54,6 @@ class LinearOperator:
     def cols(self) -> int:
         return self._cols
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self._rows, self._cols
-
     def apply(self, x) -> np.ndarray:
         raise NotImplementedError
 

@@ -12,12 +12,17 @@ blockwise difference system for one projection profile, and a full
 tomography study solving the composed difference-of-projection system,
 each with unregularized and regularized arms per difference model (the
 tomography study adds the two-step arm that undoes the forward difference
-first and then inverts the plain projection operator).
+first and then inverts the plain projection operator).  A study takes the
+grid size, the seed and the solvers' iteration cap, and the tomography
+study also the angle count; everything else is fixed: the modified
+Shepp-Logan phantom, one detector per grid column, mixing weight 0.2,
+10 % relative noise, and a noise offset of 5 on the offset arm only.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import partial
 from typing import Any
 
 import numpy as np
@@ -107,16 +112,12 @@ def make_phantom(spec: PhantomSpec) -> Image:
 
 
 def generate_dpc_data(
-    img: Image,
-    geom: ProjectionGeometry,
-    model_error: ModelErrorSpec,
-    projector=None,
+    img: Image, geom: ProjectionGeometry, model_error: ModelErrorSpec, projector
 ):
     """Differenced projection data as a mixed pair (forward-model data,
     central-model data), both derived from one clean projection of the
     image so that neither equals its own model applied to the truth."""
-    op = projector if projector is not None else build_projector(geom)
-    y = project(op, img).values
+    y = project(projector, img).values
     d_forward = make_diff("forward", geom.k, geom.l).apply(y)
     d_central = make_diff("central", geom.k, geom.l).apply(y)
     w = model_error.omega
@@ -159,6 +160,9 @@ def relative_error(x, x_true) -> float:
     return float(np.linalg.norm(x - x_true) / truth_norm)
 
 
+# the studies' mixing weight, relative noise level, and offset-arm noise offset
+_OMEGA, _NOISE, _OFFSET = 0.2, 0.10, 5.0
+
 # fixed per-arm offsets so every arm draws from its own seeded stream
 _ARM_SEED_OFFSETS = {"model_error": 11, "noise": 23, "offset": 37, "full_ct": 53}
 
@@ -193,7 +197,7 @@ class ReconstructionArm:
 class ExperimentResult:
     name: str
     params: dict
-    arms: dict[str, ReconstructionArm] = field(default_factory=dict)
+    arms: dict[str, ReconstructionArm]
 
 
 def _solve_arm(
@@ -228,38 +232,10 @@ def _realized_epsilon(b, b_clean, A: LinearOperator, truth) -> float:
     return eps
 
 
-# the studies' solver keywords and the GBiTConfig field each one sets
-_SOLVER_KEYS = {
-    "eta": "eta",
-    "lambda0": "lambda0",
-    "max_iter": "max_iter",
-    "maxcounter": "maxcounter",
-    "scheme": "update_scheme",
-}
-
-
-def _solver_config(params: dict) -> tuple[GBiTConfig, dict]:
-    """The solver settings from the keywords the caller set over
-    ``GBiTConfig``'s defaults, and those settings under their keyword
-    names for the result's parameters."""
-    given = {name: params[key] for key, name in _SOLVER_KEYS.items() if key in params}
-    config = GBiTConfig(**given)
-    return config, {key: getattr(config, name) for key, name in _SOLVER_KEYS.items()}
-
-
-def _run_single_projection(arm_labels, **params) -> ExperimentResult:
-    size = int(params.get("size", 256))
-    detectors = int(params.get("detectors", size))
-    variant = params.get("variant", "shepp_logan_modified")
-    omega = float(params.get("omega", 0.2))
-    model_error = ModelErrorSpec(omega=omega)
-    noise_level = float(params.get("noise", 0.10))
-    offset = float(params.get("offset", 5.0))
-    seed = int(params.get("seed", 0))
-    solver, solver_params = _solver_config(params)
-
-    phantom = make_phantom(PhantomSpec(variant=variant, size=size))
-    geom = ProjectionGeometry(n_x=size, n_y=size, k=detectors, angles=np.array([np.pi / 2.0]))
+def _run_single_projection(arm_labels, *, size, seed, max_iter) -> dict[str, ReconstructionArm]:
+    solver = GBiTConfig(max_iter=max_iter)
+    phantom = make_phantom(PhantomSpec(size=size))
+    geom = ProjectionGeometry(n_x=size, n_y=size, k=size, angles=np.array([np.pi / 2.0]))
     projector = build_projector(geom)
     y = project(projector, phantom).values
     ops = {
@@ -268,71 +244,57 @@ def _run_single_projection(arm_labels, **params) -> ExperimentResult:
     }
     clean = {name: op.apply(y) for name, op in ops.items()}
 
-    result = ExperimentResult(
-        name="single_projection" if "offset" not in arm_labels else "single_projection_offset",
-        params={**solver_params, "size": size, "detectors": detectors, "omega": omega,
-                "noise": noise_level, "offset": offset, "seed": seed},
-    )
+    arms = {}
     for arm in arm_labels:
         if arm == "model_error":
-            mixed = generate_dpc_data(phantom, geom, model_error, projector=projector)
+            mixed = generate_dpc_data(phantom, geom, ModelErrorSpec(_OMEGA), projector)
             data = {"forward": mixed[0].values, "central": mixed[1].values}
         else:
             spec = NoiseSpec(
-                level=noise_level,
-                offset=offset if arm == "offset" else 0.0,
+                level=_NOISE,
+                offset=_OFFSET if arm == "offset" else 0.0,
                 seed=derived_seed(seed, arm),
             )
             data = {name: add_noise(clean[name], spec) for name in ops}
         for name, op in ops.items():
             b = data[name]
             eps = _realized_epsilon(b, clean[name], op, y)
-            result.arms[f"{arm}:{name}"] = _solve_arm(op, b, y, eps, name, solver)
-    return result
+            arms[f"{arm}:{name}"] = _solve_arm(op, b, y, eps, name, solver)
+    return arms
 
 
-def _run_full_ct(**params) -> ExperimentResult:
-    size = int(params.get("size", 64))
-    num_angles = int(params.get("angles", 90))
-    detectors = int(params.get("detectors", size))
-    variant = params.get("variant", "shepp_logan_modified")
-    omega = float(params.get("omega", 0.2))
-    noise_level = float(params.get("noise", 0.10))
-    offset = float(params.get("offset", 0.0))
-    seed = int(params.get("seed", 0))
-    solver, solver_params = _solver_config(params)
-
-    phantom = make_phantom(PhantomSpec(variant=variant, size=size))
-    geom = standard_geometry(size, num_angles, detectors)
+def _run_full_ct(*, size, angles, seed, max_iter) -> dict[str, ReconstructionArm]:
+    solver = GBiTConfig(max_iter=max_iter)
+    phantom = make_phantom(PhantomSpec(size=size))
+    geom = standard_geometry(size, angles)
     projector = build_projector(geom)
-    b_f_clean, b_c_clean = generate_dpc_data(
-        phantom, geom, ModelErrorSpec(omega=omega), projector=projector
-    )
-    noise = NoiseSpec(level=noise_level, offset=offset, seed=derived_seed(seed, "full_ct"))
+    b_f_clean, b_c_clean = generate_dpc_data(phantom, geom, ModelErrorSpec(_OMEGA), projector)
+    noise = NoiseSpec(level=_NOISE, seed=derived_seed(seed, "full_ct"))
     b_f = add_noise(b_f_clean.values, noise)
     b_c = add_noise(b_c_clean.values, noise)
 
     x_true = phantom.values
-    result = ExperimentResult(
-        name="full_ct",
-        params={**solver_params, "size": size, "angles": num_angles, "detectors": detectors,
-                "omega": omega, "noise": noise_level, "offset": offset, "seed": seed},
-    )
-
     a_forward = compose(make_diff("forward", geom.k, geom.l), projector)
     a_central = compose(make_diff("central", geom.k, geom.l), projector)
     eps_f = _realized_epsilon(b_f, b_f_clean.values, a_forward, x_true)
     eps_c = _realized_epsilon(b_c, b_c_clean.values, a_central, x_true)
-    result.arms["forward"] = _solve_arm(a_forward, b_f, x_true, eps_f, "forward", solver)
-    result.arms["central"] = _solve_arm(a_central, b_c, x_true, eps_c, "central", solver)
-
     rhs_pr = phase_retrieval_rhs(b_f, geom.k, geom.l)
     rhs_pr_clean = phase_retrieval_rhs(b_f_clean.values, geom.k, geom.l)
     eps_pr = _realized_epsilon(rhs_pr, rhs_pr_clean, projector, x_true)
-    result.arms["phase_retrieval"] = _solve_arm(
-        projector, rhs_pr, x_true, eps_pr, "phase_retrieval", solver
-    )
-    return result
+    return {
+        "forward": _solve_arm(a_forward, b_f, x_true, eps_f, "forward", solver),
+        "central": _solve_arm(a_central, b_c, x_true, eps_c, "central", solver),
+        "phase_retrieval": _solve_arm(
+            projector, rhs_pr, x_true, eps_pr, "phase_retrieval", solver
+        ),
+    }
+
+
+_STUDIES = {
+    "single_projection": partial(_run_single_projection, ("model_error", "noise")),
+    "single_projection_offset": partial(_run_single_projection, ("offset",)),
+    "full_ct": _run_full_ct,
+}
 
 
 def run_experiment(name: str, **params) -> ExperimentResult:
@@ -342,18 +304,10 @@ def run_experiment(name: str, **params) -> ExperimentResult:
     and a noise arm (no mixing, relative noise); ``single_projection_offset``
     runs the noise arm with a constant offset added to the noise;
     ``full_ct`` combines mixing and noise over many angles and adds the
-    two-step arm.  Keyword parameters override the per-study defaults
-    (size, angles, detectors, omega, noise, offset, seed, and the solver
-    settings eta, lambda0, max_iter, maxcounter, scheme).
+    two-step arm.  Every study takes the keywords ``size``, ``seed`` and
+    ``max_iter`` (the solvers' iteration cap), and ``full_ct`` also
+    ``angles``; any other keyword raises ``TypeError``.
     """
-    if name == "single_projection":
-        return _run_single_projection(("model_error", "noise"), **params)
-    if name == "single_projection_offset":
-        params.setdefault("offset", 5.0)
-        return _run_single_projection(("offset",), **params)
-    if name == "full_ct":
-        return _run_full_ct(**params)
-    raise ValueError(
-        f"unknown experiment {name!r}; available: single_projection, "
-        "single_projection_offset, full_ct"
-    )
+    if name not in _STUDIES:
+        raise ValueError(f"unknown experiment {name!r}; available: {', '.join(_STUDIES)}")
+    return ExperimentResult(name=name, params=params, arms=_STUDIES[name](**params))

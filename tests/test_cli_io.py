@@ -163,6 +163,10 @@ def without_grid(manifest: dict) -> dict:
     return {**manifest, "config": config}
 
 
+def with_grid(manifest: dict, n: int) -> dict:
+    return {**manifest, "config": {**manifest["config"], "n_x": n, "n_y": n}}
+
+
 @pytest.fixture(scope="module")
 def pipeline(tmp_path_factory):
     """One phantom + simulate run shared by the reconstruct tests."""
@@ -270,6 +274,18 @@ class TestSimulateCommand:
         )
         assert result.returncode == 2
         assert "usage error" in result.stderr and "--detectors must be >= 2" in result.stderr
+        assert not (tmp_path / "s.sino").exists()
+
+    def test_one_pixel_wide_image_without_detectors_is_io_error(self, tmp_path):
+        # the detector count defaults to the image width
+        phantom_path = tmp_path / "narrow.txt"
+        phantom_path.write_text("DPCTOMO-IMAGE-1 -\n1\n3\n0\n1\n0\n")
+        result = run_cli(
+            "simulate", "--phantom", phantom_path, "--angles", 4, "--out", tmp_path / "s.sino",
+        )
+        assert result.returncode == 3
+        assert str(phantom_path) in result.stderr and "1 pixel wide" in result.stderr
+        assert "--detectors" in result.stderr and "Traceback" not in result.stderr
         assert not (tmp_path / "s.sino").exists()
 
     def test_malformed_phantom_is_io_error(self, tmp_path):
@@ -405,7 +421,8 @@ class TestReconstructCommand:
         assert result.returncode == 0, result.stderr
         sino = read_sinogram(sino_path)
         profile = Sinogram(k=sino.k, l=sino.l, values=invert_forward(sino.values, sino.k, sino.l))
-        image = fbp_reconstruct(profile, standard_geometry(24, sino.l), "ramp")
+        geom = standard_geometry(24, sino.l)
+        image = fbp_reconstruct(profile, geom, "ramp", projector=build_projector(geom))
         np.testing.assert_array_equal(read_image(f"{prefix}.image.txt").values, image.values)
 
     def test_reconstruct_is_deterministic(self, pipeline):
@@ -432,6 +449,17 @@ class TestReconstructCommand:
         assert result.returncode == 0, result.stderr
         assert "warning" in result.stderr and "--eta" in result.stderr
 
+    def test_lsqr_warns_once_on_the_flags_it_does_not_read(self, pipeline, tmp_path):
+        _, _, sino_path = pipeline
+        result = run_cli(
+            "reconstruct", "--sino", sino_path, "--solver", "lsqr", "--eta", 3,
+            "--scheme", "alternative", "--lambda0", 5, "--max-iter", 3, "--out", tmp_path / "rec",
+        )
+        assert result.returncode == 0, result.stderr
+        (warning,) = [line for line in result.stderr.splitlines() if "warning" in line]
+        assert all(flag in warning for flag in ("--eta", "--scheme", "--lambda0"))
+        assert "--max-iter" not in warning
+
     def test_phase_retrieval_model_runs(self, pipeline):
         root, _, sino_path = pipeline
         result = run_cli(
@@ -452,10 +480,11 @@ class TestReconstructCommand:
             ("sino", lambda text: with_line(text, 3, "inf")),
             ("manifest", lambda text: json.dumps({**json.loads(text), "bogus": 1})),
             ("manifest", lambda text: json.dumps(without_grid(json.loads(text)))),
+            ("manifest", lambda text: json.dumps(with_grid(json.loads(text), -2))),
         ],
         ids=["empty_sinogram", "truncated_sinogram_header", "k_not_an_integer",
              "missing_values", "nan_spacing", "inf_spacing", "unknown_manifest_key",
-             "config_without_grid"],
+             "config_without_grid", "negative_grid"],
     )
     def test_malformed_input_file_is_io_error(self, pipeline, tmp_path, target, edit):
         _, _, sino_path = pipeline

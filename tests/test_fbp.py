@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from dpctomo import fbp
 from dpctomo.fbp import _filtered_blocks, _padded_length, fbp_reconstruct, filter_sinogram
 from dpctomo.diffops import make_diff
 from dpctomo.projector import Image, ProjectionGeometry, Sinogram, build_projector, project, uniform_angles
@@ -22,18 +21,18 @@ class TestFilterKindAndPadding:
         assert _padded_length(100) == 256
         assert _padded_length(128) == 256
 
-    def test_unknown_kind_rejected_before_any_work(self, monkeypatch):
+    def test_unknown_kind_rejected_before_any_work(self):
         sino = Sinogram(k=8, l=6, values=np.zeros(48))
         with pytest.raises(ValueError, match="sharpen"):
             filter_sinogram(sino, "sharpen")
 
-        def build_projector(geom):
-            raise AssertionError("a projector was built for an unknown filter kind")
+        class Unused:
+            def apply_transpose(self, y):
+                raise AssertionError("back-projected with an unknown filter kind")
 
-        monkeypatch.setattr(fbp, "build_projector", build_projector)
         geom = ProjectionGeometry(n_x=8, n_y=8, k=8, angles=uniform_angles(6))
         with pytest.raises(ValueError, match="sharpen"):
-            fbp_reconstruct(sino, geom, "sharpen")
+            fbp_reconstruct(sino, geom, "sharpen", projector=Unused())
 
 
 class TestFilterSinogram:
@@ -96,7 +95,8 @@ class TestReconstruction:
     def test_zero_sinogram_zero_image(self):
         geom = ProjectionGeometry(n_x=8, n_y=8, k=8, angles=uniform_angles(6))
         sino = Sinogram(k=8, l=6, values=np.zeros(48))
-        np.testing.assert_array_equal(fbp_reconstruct(sino, geom, "ramp").values, 0.0)
+        recon = fbp_reconstruct(sino, geom, "ramp", projector=build_projector(geom))
+        np.testing.assert_array_equal(recon.values, 0.0)
 
     def test_absorption_reconstruction_quality(self):
         phantom = make_phantom(PhantomSpec(size=128))
@@ -138,13 +138,20 @@ class TestReconstruction:
         assert np.linalg.norm(b - a) < 0.3 * np.linalg.norm(a)
 
     def test_layout_mismatch_rejected(self):
+        # a detector spacing h other than the geometry's would be filtered
+        # with one spacing and scaled with the other
         geom = ProjectionGeometry(n_x=8, n_y=8, k=8, angles=uniform_angles(6))
-        with pytest.raises(ValueError):
-            fbp_reconstruct(Sinogram(k=4, l=6, values=np.zeros(24)), geom, "ramp")
+        projector = build_projector(geom)
+        for sino in (
+            Sinogram(k=4, l=6, values=np.zeros(24)),
+            Sinogram(k=8, l=6, values=np.zeros(48), h=0.5),
+        ):
+            with pytest.raises(ValueError, match="does not match"):
+                fbp_reconstruct(sino, geom, "ramp", projector=projector)
 
     def test_phase_reconstruction_is_mean_adjusted(self):
         rng = np.random.default_rng(3)
         geom = ProjectionGeometry(n_x=8, n_y=8, k=8, angles=uniform_angles(6))
         sino = Sinogram(k=8, l=6, values=rng.standard_normal(48))
-        recon = fbp_reconstruct(sino, geom, "dpc")
+        recon = fbp_reconstruct(sino, geom, "dpc", projector=build_projector(geom))
         assert abs(recon.values.mean()) <= 1e-12

@@ -16,12 +16,6 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "dpctomo"
 USERS = (ROOT / "src", ROOT / "benchmarks", ROOT / "docs")
 
-# kept though nothing calls them: they document a layout for readers
-ALLOWED = {
-    "Image.as_matrix",  # the (n_y, n_x) view that hides the column-major order
-}
-
-
 def definitions(tree, prefix=""):
     """(qualified name, name) of each function and class, nested ones too."""
     for node in ast.iter_child_nodes(tree):
@@ -56,18 +50,11 @@ def test_every_definition_is_used_outside_the_tests():
         tree = ast.parse(path.read_text(), str(path))
         for qualified, name in definitions(tree):
             dunder = name.startswith("__") and name.endswith("__")
-            if not dunder and name not in used and qualified not in ALLOWED:
+            if not dunder and name not in used:
                 unused.append(f"{path.name}: {qualified}")
     assert not unused, "defined in the package but used only by tests, if at all: " + ", ".join(
         unused
     )
-
-
-def test_allowlist_names_real_definitions():
-    defined = set()
-    for path in PACKAGE.glob("*.py"):
-        defined.update(q for q, _ in definitions(ast.parse(path.read_text(), str(path))))
-    assert ALLOWED <= defined
 
 
 def is_dataclass(node: ast.ClassDef) -> bool:
