@@ -82,7 +82,7 @@ class TikhonovOracle:
 def main():
     phantom = make_phantom(PhantomSpec(size=64))
     truth = phantom.values
-    geom = standard_geometry(64, 90, 64)
+    geom = standard_geometry(64, 90)
     projector = build_projector(geom)
     a_op = compose(make_diff("forward", geom.k, geom.l), projector)
 

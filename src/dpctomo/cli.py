@@ -147,8 +147,10 @@ def cmd_phantom(args) -> int:
 def cmd_simulate(args) -> int:
     if not 0.0 <= args.omega < 0.5:
         raise UsageError(f"--omega must be in [0, 0.5), got {args.omega}")
-    if args.noise < 0.0:
-        raise UsageError(f"--noise must be >= 0, got {args.noise}")
+    if not 0.0 <= args.noise < np.inf:
+        raise UsageError(f"--noise must be finite and >= 0, got {args.noise}")
+    if not np.isfinite(args.offset):
+        raise UsageError(f"--offset must be finite, got {args.offset}")
     if args.angles < 1:
         raise UsageError(f"--angles must be >= 1, got {args.angles}")
     if args.detectors is not None and args.detectors < 2:

@@ -308,6 +308,10 @@ class GBiTConfig:
     track_residual: bool = False
 
     def validate(self):
+        for name in ("eta", "lambda0", "epsilon"):
+            value = getattr(self, name)
+            if value is not None and not np.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.update_scheme not in UPDATE_SCHEMES:
             raise ValueError(
                 f"unknown update scheme {self.update_scheme!r}; expected one of {UPDATE_SCHEMES}"

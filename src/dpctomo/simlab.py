@@ -82,8 +82,10 @@ class NoiseSpec:
     seed: Any = 0
 
     def __post_init__(self):
-        if self.level < 0.0:
-            raise ValueError(f"noise level must be >= 0, got {self.level}")
+        if not 0.0 <= self.level < np.inf:
+            raise ValueError(f"noise level must be finite and >= 0, got {self.level}")
+        if not np.isfinite(self.offset):
+            raise ValueError(f"noise offset must be finite, got {self.offset}")
 
 
 @dataclass(frozen=True)

@@ -51,7 +51,7 @@ def report(num, ok, detail):
 def desk():
     """64x64 phantom, 90 angles, 64 detectors, and its clean data."""
     phantom = make_phantom(PhantomSpec(size=64))
-    geom = standard_geometry(64, 90, 64)
+    geom = standard_geometry(64, 90)
     projector = build_projector(geom)
     y = project(projector, phantom).values
     d_forward = make_diff("forward", geom.k, geom.l)
@@ -262,7 +262,7 @@ def test_criterion_10_phase_retrieval_path(desk):
 def test_criterion_11_fbp_baseline():
     start = time.perf_counter()
     phantom = make_phantom(PhantomSpec(size=128))
-    geom = standard_geometry(128, 180, 128)
+    geom = standard_geometry(128, 180)
     projector = build_projector(geom)
     sino = project(projector, phantom)
     recon = fbp_reconstruct(sino, geom, "ramp", projector=projector)

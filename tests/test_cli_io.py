@@ -248,6 +248,22 @@ class TestSimulateCommand:
         assert result.returncode == 2
         assert "omega" in result.stderr
 
+    @pytest.mark.parametrize(
+        "flag, value", [("--noise", "nan"), ("--noise", "inf"), ("--offset", "inf"),
+                        ("--offset", "nan")],
+    )
+    def test_nonfinite_noise_is_usage_error(self, tmp_path, flag, value):
+        # it would otherwise write an all-NaN sinogram
+        phantom_path = tmp_path / "p.txt"
+        run_cli("phantom", "--size", 16, "--out", phantom_path)
+        result = run_cli(
+            "simulate", "--phantom", phantom_path, "--angles", 8,
+            flag, value, "--out", tmp_path / "s.sino",
+        )
+        assert result.returncode == 2
+        assert "usage error" in result.stderr and f"{flag} must be finite" in result.stderr
+        assert not (tmp_path / "s.sino").exists()
+
     def test_missing_phantom_is_io_error(self, tmp_path):
         result = run_cli(
             "simulate", "--phantom", tmp_path / "nope.txt", "--angles", 10,
@@ -380,6 +396,23 @@ class TestReconstructCommand:
         )
         assert result.returncode == 2
         assert "usage error" in result.stderr and "max_iter" in result.stderr
+        assert not (tmp_path / "rec.image.txt").exists()
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--eta", "nan"), ("--eta", "inf"), ("--lambda0", "nan"), ("--lambda0", "inf"),
+         ("--epsilon", "inf")],
+    )
+    def test_nonfinite_solver_setting_is_usage_error(self, pipeline, tmp_path, flag, value):
+        # the solver trace would go non-finite (exit 4) instead
+        _, _, sino_path = pipeline
+        settings = {"--epsilon": "manifest", flag: value}
+        result = run_cli(
+            "reconstruct", "--sino", sino_path, "--solver", "gbit",
+            *[item for pair in settings.items() for item in pair], "--out", tmp_path / "rec",
+        )
+        assert result.returncode == 2
+        assert "usage error" in result.stderr and f"{flag[2:]} must be finite" in result.stderr
         assert not (tmp_path / "rec.image.txt").exists()
 
     def test_gbit_classic_without_epsilon_is_usage_error(self, pipeline):

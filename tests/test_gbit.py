@@ -387,6 +387,14 @@ class TestGBiTSolve:
         with pytest.raises(ValueError):
             GBiTConfig(epsilon=1.0, update_scheme="bogus").validate()
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("name", ["eta", "lambda0", "epsilon"])
+    @pytest.mark.parametrize("scheme", ["classic", "alternative", "fixed"])
+    def test_nonfinite_settings_rejected(self, scheme, name, value):
+        settings = {"epsilon": 1.0, "update_scheme": scheme, name: value}
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            GBiTConfig(**settings).validate()
+
     @pytest.mark.parametrize(
         "matrix,rhs,cause,termination,iterations",
         [

@@ -7,6 +7,7 @@ walks plane crossings instead, so agreement is a genuine cross-check.
 """
 
 import os
+import subprocess
 import sys
 import warnings
 
@@ -92,13 +93,16 @@ def assert_same_arrays(actual, expected):
 ASSEMBLY_GEOMETRIES = {
     "square": standard_geometry(12, 20),
     "nx_ne_ny": ProjectionGeometry(n_x=13, n_y=7, k=13, angles=uniform_angles(11)),
-    "k_ne_n": standard_geometry(10, 9, detectors=17),
+    "k_ne_n": ProjectionGeometry(n_x=10, n_y=10, k=17, angles=uniform_angles(9)),
     "scaled_h": ProjectionGeometry(n_x=9, n_y=11, k=14, angles=uniform_angles(10), h=1.3),
     "one_angle": ProjectionGeometry(n_x=8, n_y=8, k=8, angles=[0.3]),
     "angles_not_a_multiple_of_blocks": standard_geometry(9, 13),
     "axis_angles": ProjectionGeometry(
         n_x=6, n_y=7, k=9, angles=[0.0, 0.4, np.pi / 2.0, 2.5, 3.0]
     ),
+    # at pi/2 the rays run along y planes, where rounding splits one
+    # pixel's chord in two: duplicate entries that assembly must sum
+    "rays_on_grid_planes": ProjectionGeometry(n_x=9, n_y=9, k=16, angles=uniform_angles(4)),
 }
 
 
@@ -121,6 +125,32 @@ class TestBlockedAssembly:
         ref, ref_t = reference_assembly(geom)
         assert_same_arrays(op._weights, ref)
         assert_same_arrays(op._weights_t, ref_t)
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="glibc malloc arenas, ru_maxrss in KiB")
+    def test_repeated_threaded_assembly_keeps_its_peak_memory(self):
+        # Blocks traced into memory that the worker threads allocate stay
+        # in the workers' malloc arenas after they are freed, so every
+        # further assembly in the process would raise the peak (by half
+        # the bytes of both matrices over three more at this size).
+        script = """
+import resource
+from dpctomo.projector import _assemble_weights, standard_geometry
+geom = standard_geometry(128, 180)
+weights = _assemble_weights(geom, 2)
+nbytes = sum(a.nbytes for w in weights for a in (w.data, w.indices, w.indptr))
+first = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+for _ in range(3):
+    weights = None  # free the previous matrices first
+    weights = _assemble_weights(geom, 2)
+growth = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - first
+print(nbytes, 1024 * growth)
+"""
+        result = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=300
+        )
+        assert result.returncode == 0, result.stderr
+        nbytes, growth = map(int, result.stdout.split())
+        assert growth < nbytes / 4, (growth, nbytes)
 
     def test_oversubscribed_pool_with_fast_switching(self):
         # more workers than cores and a short switch interval, so that the
@@ -159,7 +189,7 @@ class TestSingleRays:
 class TestAgainstOracles:
     def test_project_matches_densified_operator(self):
         rng = np.random.default_rng(5)
-        geom = standard_geometry(8, 10, detectors=12)
+        geom = ProjectionGeometry(n_x=8, n_y=8, k=12, angles=uniform_angles(10))
         op = build_projector(geom)
         dense = densify(op)
         img = Image(n_x=8, n_y=8, values=rng.standard_normal(64))
@@ -182,7 +212,7 @@ class TestAgainstOracles:
 
     def test_adjoint_consistency(self):
         rng = np.random.default_rng(17)
-        geom = standard_geometry(8, 10, detectors=12)
+        geom = ProjectionGeometry(n_x=8, n_y=8, k=12, angles=uniform_angles(10))
         op = build_projector(geom)
         for _ in range(10):
             x = rng.standard_normal(op.cols)
@@ -230,6 +260,31 @@ class TestGeometricInvariants:
         sino = project(build_projector(geom), phantom)
         masses = sino.as_blocks().sum(axis=1)
         assert np.abs(masses - masses.mean()).max() <= 0.01 * masses.mean()
+
+    @pytest.mark.parametrize("n, l", [(16, 8), (17, 12), (64, 180)])
+    def test_quarter_turn_and_mirror_symmetry(self, n, l):
+        # On a square, centred geometry with k = n and l % 4 == 0, angle
+        # j + l/2 traces angle j on the grid turned a quarter clockwise,
+        # and angle l/2 - j traces it on the transposed grid: one quarter
+        # of the angle blocks determines the others.  The tolerance is
+        # rounding: 1 degree off an axis, the crossings with the planes
+        # the rays nearly follow lose digits (2.7e-13 of the block maximum
+        # at 64^2 x 180 for the pair 89 and 179 degrees, 1e-14 elsewhere).
+        geom = standard_geometry(n, l)
+        weights = build_projector(geom)._weights
+        grid = np.arange(geom.n).reshape(n, n, order="F")  # [iy, ix] -> pixel index
+        turned, transposed = np.rot90(grid, -1).ravel(order="F"), grid.T.ravel(order="F")
+
+        def block(j):
+            return weights[j * geom.k : (j + 1) * geom.k].toarray()
+
+        half = l // 2
+        pairs = [(j, j + half, turned) for j in range(half)]
+        pairs += [(j, half - j, transposed) for j in range(half + 1)]
+        for j, other, pixels in pairs:
+            expected, actual = block(j)[:, pixels], block(other)
+            np.testing.assert_array_equal(actual != 0.0, expected != 0.0)
+            assert np.abs(actual - expected).max() <= 1e-12 * expected.max(), (j, other)
 
     def test_weights_nonnegative_and_missing_rays_zero(self):
         # detector array three times wider than the grid: outer rays miss

@@ -121,6 +121,14 @@ class TestNoise:
         with pytest.raises(ValueError):
             NoiseSpec(level=-0.1)
 
+    @pytest.mark.parametrize(
+        "settings", [{"level": np.nan}, {"level": np.inf}, {"level": 0.1, "offset": np.inf},
+                     {"level": 0.1, "offset": np.nan}],
+    )
+    def test_nonfinite_noise_rejected(self, settings):
+        with pytest.raises(ValueError, match="finite"):
+            NoiseSpec(**settings)
+
 
 class TestPhaseRetrievalPath:
     def test_noiseless_roundtrip(self):
