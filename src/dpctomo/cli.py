@@ -53,7 +53,7 @@ EXIT_NUMERICAL = 4
 _VARIANTS = {"modified": "shepp_logan_modified", "classic": "shepp_logan_classic"}
 # reconstruct's solver flags, and the ones each solver reads
 _SOLVER_FLAGS = ("eta", "epsilon", "lambda0", "maxcounter", "max_iter", "scheme")
-_FLAGS_READ = {"gbit": _SOLVER_FLAGS, "lsqr": ("max_iter",), "fbp": ()}
+_FLAGS_READ = {"gbit": (*_SOLVER_FLAGS, "truth"), "lsqr": ("max_iter", "truth"), "fbp": ()}
 
 
 class UsageError(Exception):
@@ -294,7 +294,7 @@ def cmd_reconstruct(args) -> int:
         ) from exc
 
     ignored = [
-        _flag(n) for n in _SOLVER_FLAGS
+        _flag(n) for n in (*_SOLVER_FLAGS, "truth")
         if n not in _FLAGS_READ[args.solver] and getattr(args, n) is not None
     ]
     if ignored:

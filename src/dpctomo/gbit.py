@@ -441,14 +441,14 @@ def gbit_solve(A: LinearOperator, b, config: GBiTConfig):
     y_current = np.zeros(0)  # no columns yet: the zero iterate
 
     for it in range(1, config.max_iter + 1):
-        grew = dec.step()
+        dec.step()
         if dec.k == 0:
             termination = "breakdown"
             break
-        if not grew and config.update_scheme == "fixed" and dec.k < it:
-            # the subspace is exhausted and the weight is pinned, so the
-            # iterate cannot change; adaptive schemes instead keep
-            # refining the weight on the frozen decomposition below
+        if config.update_scheme == "fixed" and dec.k < it:
+            # this step added no column (alpha breakdown) and the weight is
+            # pinned, so the iterate cannot change; adaptive schemes instead
+            # keep refining the weight on the frozen decomposition below
             termination = "breakdown"
             break
         alphas, betas = dec.alphas, dec.betas

@@ -7,22 +7,19 @@ the exact operator that produced its data.  Noise is drawn from a seeded
 standard-normal stream, optionally offset by a constant, and rescaled so
 the realized relative perturbation equals the requested level exactly.
 
-Experiments come in two families: a single-projection study solving the
-blockwise difference system for one projection profile, and a full
-tomography study solving the composed difference-of-projection system,
-each with unregularized and regularized arms per difference model (the
-tomography study adds the two-step arm that undoes the forward difference
-first and then inverts the plain projection operator).  A study takes the
-grid size, the seed and the solvers' iteration cap, and the tomography
-study also the angle count; everything else is fixed: the modified
-Shepp-Logan phantom, one detector per grid column, mixing weight 0.2,
-10 % relative noise, and a noise offset of 5 on the offset arm only.
+The one experiment is the full tomography study.  It solves the composed
+difference-of-projection system for each difference model with an
+unregularized and a regularized arm, and adds the two-step arm that undoes
+the forward difference first and then inverts the plain projection
+operator.  It takes the grid size, the angle count, the seed and the
+solvers' iteration cap; everything else is fixed: the modified
+Shepp-Logan phantom, one detector per grid column, mixing weight 0.2 and
+10 % relative noise.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import partial
 from typing import Any
 
 import numpy as np
@@ -162,11 +159,11 @@ def relative_error(x, x_true) -> float:
     return float(np.linalg.norm(x - x_true) / truth_norm)
 
 
-# the studies' mixing weight, relative noise level, and offset-arm noise offset
-_OMEGA, _NOISE, _OFFSET = 0.2, 0.10, 5.0
+# the study's mixing weight and relative noise level
+_OMEGA, _NOISE = 0.2, 0.10
 
-# fixed per-arm offsets so every arm draws from its own seeded stream
-_ARM_SEED_OFFSETS = {"model_error": 11, "noise": 23, "offset": 37, "full_ct": 53}
+# a fixed offset so the study draws from its own seeded stream
+_ARM_SEED_OFFSETS = {"full_ct": 53}
 
 
 def derived_seed(master_seed: int, arm: str):
@@ -220,51 +217,6 @@ def _solve_arm(
     )
 
 
-def _realized_epsilon(b, b_clean, A: LinearOperator, truth) -> float:
-    """Noise norm realized in the data.
-
-    Falls back to the full data error for a noiseless arm (pure model
-    error), and to a tiny multiple of the data norm when the data are
-    exact, so the discrepancy target is never zero."""
-    eps = float(np.linalg.norm(b - b_clean))
-    if eps == 0.0:
-        eps = float(np.linalg.norm(b - A.apply(truth)))
-    if eps == 0.0:
-        eps = 1e-12 * float(np.linalg.norm(b))
-    return eps
-
-
-def _run_single_projection(arm_labels, *, size, seed, max_iter) -> dict[str, ReconstructionArm]:
-    solver = GBiTConfig(max_iter=max_iter)
-    phantom = make_phantom(PhantomSpec(size=size))
-    geom = ProjectionGeometry(n_x=size, n_y=size, k=size, angles=np.array([np.pi / 2.0]))
-    projector = build_projector(geom)
-    y = project(projector, phantom).values
-    ops = {
-        "forward": make_diff("forward", geom.k, geom.l),
-        "central": make_diff("central", geom.k, geom.l),
-    }
-    clean = {name: op.apply(y) for name, op in ops.items()}
-
-    arms = {}
-    for arm in arm_labels:
-        if arm == "model_error":
-            mixed = generate_dpc_data(phantom, geom, ModelErrorSpec(_OMEGA), projector)
-            data = {"forward": mixed[0].values, "central": mixed[1].values}
-        else:
-            spec = NoiseSpec(
-                level=_NOISE,
-                offset=_OFFSET if arm == "offset" else 0.0,
-                seed=derived_seed(seed, arm),
-            )
-            data = {name: add_noise(clean[name], spec) for name in ops}
-        for name, op in ops.items():
-            b = data[name]
-            eps = _realized_epsilon(b, clean[name], op, y)
-            arms[f"{arm}:{name}"] = _solve_arm(op, b, y, eps, name, solver)
-    return arms
-
-
 def _run_full_ct(*, size, angles, seed, max_iter) -> dict[str, ReconstructionArm]:
     solver = GBiTConfig(max_iter=max_iter)
     phantom = make_phantom(PhantomSpec(size=size))
@@ -275,14 +227,15 @@ def _run_full_ct(*, size, angles, seed, max_iter) -> dict[str, ReconstructionArm
     b_f = add_noise(b_f_clean.values, noise)
     b_c = add_noise(b_c_clean.values, noise)
 
+    # each arm's discrepancy target is the noise norm realized in its data
     x_true = phantom.values
     a_forward = compose(make_diff("forward", geom.k, geom.l), projector)
     a_central = compose(make_diff("central", geom.k, geom.l), projector)
-    eps_f = _realized_epsilon(b_f, b_f_clean.values, a_forward, x_true)
-    eps_c = _realized_epsilon(b_c, b_c_clean.values, a_central, x_true)
+    eps_f = float(np.linalg.norm(b_f - b_f_clean.values))
+    eps_c = float(np.linalg.norm(b_c - b_c_clean.values))
     rhs_pr = phase_retrieval_rhs(b_f, geom.k, geom.l)
     rhs_pr_clean = phase_retrieval_rhs(b_f_clean.values, geom.k, geom.l)
-    eps_pr = _realized_epsilon(rhs_pr, rhs_pr_clean, projector, x_true)
+    eps_pr = float(np.linalg.norm(rhs_pr - rhs_pr_clean))
     return {
         "forward": _solve_arm(a_forward, b_f, x_true, eps_f, "forward", solver),
         "central": _solve_arm(a_central, b_c, x_true, eps_c, "central", solver),
@@ -292,24 +245,14 @@ def _run_full_ct(*, size, angles, seed, max_iter) -> dict[str, ReconstructionArm
     }
 
 
-_STUDIES = {
-    "single_projection": partial(_run_single_projection, ("model_error", "noise")),
-    "single_projection_offset": partial(_run_single_projection, ("offset",)),
-    "full_ct": _run_full_ct,
-}
-
-
 def run_experiment(name: str, **params) -> ExperimentResult:
-    """Run a named study; see the module docstring for the recipes.
+    """Run a named study; see the module docstring for the recipe.
 
-    ``single_projection`` runs a model-error arm (omega mixing, no noise)
-    and a noise arm (no mixing, relative noise); ``single_projection_offset``
-    runs the noise arm with a constant offset added to the noise;
-    ``full_ct`` combines mixing and noise over many angles and adds the
-    two-step arm.  Every study takes the keywords ``size``, ``seed`` and
-    ``max_iter`` (the solvers' iteration cap), and ``full_ct`` also
-    ``angles``; any other keyword raises ``TypeError``.
+    The one study is ``full_ct``, which combines mixing and noise over
+    many angles.  It takes the keywords ``size``, ``angles``, ``seed`` and
+    ``max_iter`` (the solvers' iteration cap); any other keyword raises
+    ``TypeError``, and any other name ``ValueError``.
     """
-    if name not in _STUDIES:
-        raise ValueError(f"unknown experiment {name!r}; available: {', '.join(_STUDIES)}")
-    return ExperimentResult(name=name, params=params, arms=_STUDIES[name](**params))
+    if name != "full_ct":
+        raise ValueError(f"unknown experiment {name!r}; available: full_ct")
+    return ExperimentResult(name=name, params=params, arms=_run_full_ct(**params))

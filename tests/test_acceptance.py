@@ -35,6 +35,7 @@ from dpctomo.simlab import (
     NoiseSpec,
     PhantomSpec,
     add_noise,
+    generate_dpc_data,
     make_phantom,
     phase_retrieval_rhs,
     relative_error,
@@ -53,19 +54,15 @@ def desk():
     phantom = make_phantom(PhantomSpec(size=64))
     geom = standard_geometry(64, 90)
     projector = build_projector(geom)
-    y = project(projector, phantom).values
-    d_forward = make_diff("forward", geom.k, geom.l)
-    d_central = make_diff("central", geom.k, geom.l)
-    dfy, dcy = d_forward.apply(y), d_central.apply(y)
-    omega = 0.2
+    b_f_clean, b_c_clean = generate_dpc_data(phantom, geom, ModelErrorSpec(0.2), projector)
     return {
         "phantom": phantom,
         "geom": geom,
         "projector": projector,
-        "a_forward": compose(d_forward, projector),
-        "a_central": compose(d_central, projector),
-        "b_f_clean": (1 - omega) * dfy + omega * dcy,
-        "b_c_clean": omega * dfy + (1 - omega) * dcy,
+        "a_forward": compose(make_diff("forward", geom.k, geom.l), projector),
+        "a_central": compose(make_diff("central", geom.k, geom.l), projector),
+        "b_f_clean": b_f_clean.values,
+        "b_c_clean": b_c_clean.values,
     }
 
 

@@ -5,10 +5,13 @@ method in ``METHODS`` for a traced run, so renaming or deleting one of
 them breaks ``benchmarks/run.py --trace 1``.  These tests catch that here,
 and check that the wrapped projected solves are still called once per
 iteration each, so ``gbit.projected_solve_*`` keep timing that layer.
+The benchmark's own smoke run, at tiny sizes, guards every other package
+name and signature it calls.
 """
 
 import importlib
 import importlib.util
+import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
@@ -19,7 +22,8 @@ import pytest
 from dpctomo import gbit
 from oracles import MatrixOperator
 
-SPANS_PATH = Path(__file__).resolve().parents[1] / "benchmarks" / "spans.py"
+ROOT = Path(__file__).resolve().parents[1]
+SPANS_PATH = ROOT / "benchmarks" / "spans.py"
 
 
 def load_spans():
@@ -78,3 +82,12 @@ def test_each_projected_solve_is_called_once_per_iteration(solve_calls):
     _, report = gbit.lsqr_solve(a, b, iters=n)
     assert report.iterations == n
     assert solve_calls == {"solve_lsqr_subproblem": n}
+
+
+def test_benchmark_smoke_run_passes():
+    # writes only under the checkout's .bench_work/
+    done = subprocess.run(
+        [sys.executable, "benchmarks/smoke.py"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300, check=False,
+    )
+    assert done.returncode == 0, (done.stdout + done.stderr)[-4000:]

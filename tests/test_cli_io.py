@@ -482,6 +482,16 @@ class TestReconstructCommand:
         assert result.returncode == 0, result.stderr
         assert "warning" in result.stderr and "--eta" in result.stderr
 
+    def test_fbp_warns_that_it_ignores_the_truth(self, pipeline, tmp_path):
+        _, phantom_path, sino_path = pipeline
+        result = run_cli(
+            "reconstruct", "--sino", sino_path, "--solver", "fbp",
+            "--truth", phantom_path, "--out", tmp_path / "fbp",
+        )
+        assert result.returncode == 0, result.stderr
+        (warning,) = [line for line in result.stderr.splitlines() if "warning" in line]
+        assert "--truth" in warning
+
     def test_lsqr_warns_once_on_the_flags_it_does_not_read(self, pipeline, tmp_path):
         _, _, sino_path = pipeline
         result = run_cli(

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from dpctomo.diffops import make_diff
 from dpctomo.gbit import (
     BidiagDecomposition,
     BidiagQR,
@@ -12,6 +13,16 @@ from dpctomo.gbit import (
     secant_update,
     solve_lsqr_subproblem,
     solve_tikhonov_subproblem,
+)
+from dpctomo.linops import compose
+from dpctomo.projector import build_projector, standard_geometry
+from dpctomo.simlab import (
+    ModelErrorSpec,
+    NoiseSpec,
+    PhantomSpec,
+    add_noise,
+    generate_dpc_data,
+    make_phantom,
 )
 from oracles import MatrixOperator, dense_bidiagonal, givens_sweep
 
@@ -97,6 +108,27 @@ class TestBidiagDecomposition:
         assert report.iterations == 30 and grown == []
         decompose(a, rhs, steps=30)  # without a capacity the bases double
         assert grown
+
+    def test_tomography_bases_stay_orthonormal_over_200_steps(self):
+        # criterion 1 checks orthogonality on small random matrices only;
+        # this runs the study's forward-model system at desk scale
+        geom = standard_geometry(64, 90)
+        projector = build_projector(geom)
+        phantom = make_phantom(PhantomSpec(size=64))
+        clean, _ = generate_dpc_data(phantom, geom, ModelErrorSpec(0.2), projector)
+        b = add_noise(clean.values, NoiseSpec(level=0.10, seed=[0, 53]))
+        a = compose(make_diff("forward", geom.k, geom.l), projector)
+        dec = BidiagDecomposition(a, b, capacity=200)
+        while dec.k < 200:
+            assert dec.step()
+        for basis in (dec.U, dec.V):
+            loss = np.abs(basis.T @ basis - np.eye(basis.shape[1])).max()
+            assert loss <= 1e-10
+        # criterion 3's identity for the final LSQR iterate
+        qr = BidiagQR(dec.r0_norm)
+        y, phi0 = solve_lsqr_subproblem(dec.alphas, dec.betas, dec.r0_norm, qr)
+        residual = np.linalg.norm(b - a.apply(dec.V @ y))
+        assert abs(residual - phi0) <= 1e-8 * np.linalg.norm(b)
 
 
 class TestProjectedSolves:
