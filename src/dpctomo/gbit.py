@@ -7,8 +7,16 @@ basis sequences are reorthogonalized (classical Gram-Schmidt, applied
 twice, against all stored columns), which keeps the projected residual of
 the small bidiagonal problem equal to the true residual of the full
 problem to near machine precision.  ``gbit_solve`` allocates each basis once, with
-room for its iteration cap; a decomposition made without a capacity
-doubles its bases as it grows.
+room for its iteration cap; a decomposition made without a capacity, or
+continued past it, doubles its bases as it grows.
+
+The decomposition does not depend on the weight, so a solve on the
+operator object and the bit-identical right-hand side of the thread's
+previous solve continues that solve's decomposition: it reads the stored
+columns and steps only past them, so every output keeps its bits.  Each
+thread parks the bases of its last solve, with the operator held weakly,
+until that operator dies or the thread solves on other data: 89 MB after
+a 100-step ``lsqr_solve`` at 256x256 pixels and 180 angles.
 
 Each outer iteration solves the projected problem twice, once
 unregularized and once with the current ridge weight (once only when
@@ -23,6 +31,9 @@ is swept afresh, since its first rotation already depends on the weight.
 
 from __future__ import annotations
 
+import mmap
+import threading
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +42,17 @@ from .linops import LinearOperator, as_vector
 
 _BREAKDOWN_RTOL = 1e-14
 UPDATE_SCHEMES = ("classic", "alternative", "fixed")
+_parked = threading.local()  # .entry: (weakref to the operator, [b bytes, decomposition])
+
+
+def _basis(rows: int, cols: int) -> np.ndarray:
+    """An F-ordered basis in its own anonymous mapping, advised for huge
+    pages as numpy advises its large arrays; freeing it unmaps it, so parked
+    bases leave no free blocks in the malloc heap for later allocations."""
+    buffer = mmap.mmap(-1, max(8 * rows * cols, 1))
+    if hasattr(mmap, "MADV_HUGEPAGE"):
+        buffer.madvise(mmap.MADV_HUGEPAGE)
+    return np.ndarray((rows, cols), order="F", buffer=buffer)
 
 
 class BidiagDecomposition:
@@ -63,8 +85,8 @@ class BidiagDecomposition:
         self._scale: float | None = None
         m, n = operator.rows, operator.cols
         steps = 8 if capacity is None else max(1, int(capacity))
-        self._u = np.empty((m, steps + 1), order="F")
-        self._v = np.empty((n, steps), order="F")
+        self._u = _basis(m, steps + 1)
+        self._v = _basis(n, steps)
         self._nu = 0
         self._nv = 0
         if self.r0_norm == 0.0:
@@ -98,7 +120,7 @@ class BidiagDecomposition:
     def _grow(arr: np.ndarray, needed: int) -> np.ndarray:
         if arr.shape[1] >= needed:
             return arr
-        new = np.empty((arr.shape[0], max(needed, 2 * arr.shape[1])), order="F")
+        new = _basis(arr.shape[0], max(needed, 2 * arr.shape[1]))
         new[:, : arr.shape[1]] = arr
         return new
 
@@ -390,13 +412,33 @@ class GBiTReport:
 
     @property
     def final_rel_error(self) -> float:
-        return self.records[-1].rel_error if self.records else np.nan
+        return float(self.rel_errors[-1]) if self.records else np.nan
 
 
 def _require_finite(**named):
     for name, value in named.items():
         if not np.isfinite(value):
             raise FloatingPointError(f"solver trace produced a non-finite {name}: {value}")
+
+
+def _decomposition(A: LinearOperator, b: np.ndarray, capacity: int) -> BidiagDecomposition:
+    """The thread's parked decomposition if it was built on this operator
+    and right-hand side, else a new one made after the parked one is freed."""
+    entry, _parked.entry = getattr(_parked, "entry", None), None
+    if entry is not None and entry[0]() is A and entry[1][0] == b.tobytes():
+        dec = entry[1][1]
+        dec.operator = A
+        return dec
+    del entry
+    return BidiagDecomposition(A, b, capacity)
+
+
+def _park(A: LinearOperator, b: np.ndarray, dec: BidiagDecomposition):
+    """Keep ``dec``, without its operator, for the thread's next solve.  The
+    operator's death empties only this entry's box, never a newer entry's."""
+    dec.operator = None
+    box = [b.tobytes(), dec]
+    _parked.entry = (weakref.ref(A, lambda _: box.clear()), box)
 
 
 def gbit_solve(A: LinearOperator, b, config: GBiTConfig):
@@ -429,7 +471,7 @@ def gbit_solve(A: LinearOperator, b, config: GBiTConfig):
         if true_norm == 0.0:
             raise ValueError("ground-truth vector must be nonzero for the error trace")
 
-    dec = BidiagDecomposition(A, b, capacity=min(config.max_iter, A.rows, A.cols))
+    dec = _decomposition(A, b, capacity=min(config.max_iter, A.rows, A.cols))
     records: list[IterationRecord] = []
     if dec.r0_norm == 0.0:
         return np.zeros(A.cols), GBiTReport(records, "discrepancy_met", dec.breakdown)
@@ -441,17 +483,23 @@ def gbit_solve(A: LinearOperator, b, config: GBiTConfig):
     y_current = np.zeros(0)  # no columns yet: the zero iterate
 
     for it in range(1, config.max_iter + 1):
-        dec.step()
-        if dec.k == 0:
+        # iteration it sees what a fresh decomposition would after it steps:
+        # an alpha breakdown once no column was added, a beta one from its step on
+        if dec.k < it:
+            dec.step()
+        k = min(it, dec.k)
+        seen = dec.k < it or (dec.k == it and dec.breakdown == "beta")
+        breakdown = dec.breakdown if seen else None
+        if k == 0:
             termination = "breakdown"
             break
-        if config.update_scheme == "fixed" and dec.k < it:
+        if config.update_scheme == "fixed" and k < it:
             # this step added no column (alpha breakdown) and the weight is
             # pinned, so the iterate cannot change; adaptive schemes instead
             # keep refining the weight on the frozen decomposition below
             termination = "breakdown"
             break
-        alphas, betas = dec.alphas, dec.betas
+        alphas, betas = dec.alphas[:k], dec.betas[:k]
         y0, phi0 = solve_lsqr_subproblem(alphas, betas, dec.r0_norm, qr)
         if lam == 0.0:
             # the ridge solve at weight zero is the unregularized one
@@ -470,7 +518,7 @@ def gbit_solve(A: LinearOperator, b, config: GBiTConfig):
         rel_error = None
         residual = None
         if x_true is not None or config.track_residual:
-            x_it = dec.V @ y_lam
+            x_it = dec.V[:, :k] @ y_lam
             if x_true is not None:
                 rel_error = float(np.linalg.norm(x_it - x_true) / true_norm)
             if config.track_residual:
@@ -488,15 +536,16 @@ def gbit_solve(A: LinearOperator, b, config: GBiTConfig):
             if counter > config.maxcounter:
                 termination = "discrepancy_met"
                 break
-        if dec.breakdown is not None and config.update_scheme == "fixed":
+        if breakdown is not None and config.update_scheme == "fixed":
             termination = "breakdown"
             break
         lam = lam_next
         phi0_prev = phi0
     else:
-        termination = "max_iter" if dec.breakdown is None else "breakdown"
+        termination = "max_iter" if breakdown is None else "breakdown"
 
-    return dec.V @ y_current, GBiTReport(records, termination, dec.breakdown)
+    _park(A, b, dec)
+    return dec.V[:, : y_current.size] @ y_current, GBiTReport(records, termination, breakdown)
 
 
 def lsqr_solve(A: LinearOperator, b, iters: int, x_true=None):

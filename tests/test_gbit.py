@@ -1,5 +1,10 @@
 """Bidiagonalization, projected solves, secant updates, and the full loop."""
 
+import subprocess
+import sys
+import threading
+import weakref
+
 import numpy as np
 import pytest
 
@@ -497,3 +502,253 @@ class TestLSQR:
         _, report = lsqr_solve(MatrixOperator(a), b, iters=40, x_true=x_true)
         errors = report.rel_errors
         assert np.nanmin(errors) < errors[-1]
+
+    def test_final_error_without_truth_is_nan(self):
+        rng = np.random.default_rng(14)
+        _, report = lsqr_solve(MatrixOperator(rng.standard_normal((30, 20))),
+                               rng.standard_normal(30), iters=5)
+        assert np.isnan(report.rel_errors).all()
+        assert isinstance(report.final_rel_error, float) and np.isnan(report.final_rel_error)
+
+
+def ill_posed(seed, m=50, n=40):
+    """A matrix with a decaying spectrum, noisy data and the noise norm."""
+    rng = np.random.default_rng(seed)
+    u, s, vt = np.linalg.svd(rng.standard_normal((m, n)), full_matrices=False)
+    a = (u * (s * np.exp(-np.arange(n) / 6.0))) @ vt
+    b_clean = a @ (vt[0] + 0.5 * vt[1])
+    e = rng.standard_normal(m)
+    b = b_clean + 0.05 * np.linalg.norm(b_clean) / np.linalg.norm(e) * e
+    return a, b, float(np.linalg.norm(b - b_clean))
+
+
+def rank_four(consistent):
+    """A 12x8 matrix of rank 4: generic data break the decomposition down
+    on alpha at step 5, data in its range on beta at step 4."""
+    rng = np.random.default_rng(5)
+    a = rng.standard_normal((12, 4)) @ rng.standard_normal((4, 8))
+    b = a @ rng.standard_normal(8) if consistent else rng.standard_normal(12)
+    return a, b
+
+
+def fingerprint(solved):
+    """Every output of a solve, bit for bit: repr round-trips each float."""
+    x, report = solved
+    return x.tobytes(), repr(report.records), report.termination, report.breakdown
+
+
+@pytest.fixture
+def steps(monkeypatch):
+    """Counts decomposition steps and keeps a weak reference to the last
+    decomposition stepped."""
+    counted = {"steps": 0, "dec": None}
+    step = BidiagDecomposition.step
+
+    def counting_step(self):
+        counted["steps"] += 1
+        counted["dec"] = weakref.ref(self)
+        return step(self)
+
+    monkeypatch.setattr(BidiagDecomposition, "step", counting_step)
+    return counted
+
+
+class TestContinuedDecomposition:
+    """A solve on the operator object and right-hand side of the thread's
+    previous solve continues that solve's decomposition; each case compares
+    with a fresh solve on an equal but distinct operator, byte for byte."""
+
+    def test_gbit_after_lsqr_reads_the_stored_steps(self, steps):
+        a, b, eps = ill_posed(6)
+        config = GBiTConfig(eta=1.01, epsilon=eps, x_true=np.ones(40))
+        fresh = gbit_solve(MatrixOperator(a), b, config)
+        op = MatrixOperator(a)
+        lsqr_solve(op, b, iters=30)
+        steps["steps"] = 0
+        continued = gbit_solve(op, b, config)
+        assert fresh[1].termination == "discrepancy_met" and fresh[1].iterations < 30
+        assert steps["steps"] == 0
+        assert fingerprint(continued) == fingerprint(fresh)
+
+    def test_lsqr_after_shorter_gbit_grows_past_the_first_capacity(self, steps):
+        a, b, eps = ill_posed(7)
+        fresh = lsqr_solve(MatrixOperator(a), b, iters=30, x_true=np.ones(40))
+        op = MatrixOperator(a)
+        gbit_solve(op, b, GBiTConfig(epsilon=eps, max_iter=5))  # capacity 5
+        steps["steps"] = 0
+        continued = lsqr_solve(op, b, iters=30, x_true=np.ones(40))
+        assert steps["steps"] == 25
+        assert fingerprint(continued) == fingerprint(fresh)
+
+    @pytest.mark.parametrize("max_iter", range(1, 8))
+    @pytest.mark.parametrize("scheme", ["fixed", "alternative"])
+    @pytest.mark.parametrize("consistent", [False, True], ids=["alpha", "beta"])
+    def test_breakdown_shows_where_a_fresh_run_meets_it(self, consistent, scheme, max_iter):
+        a, b = rank_four(consistent)
+        config = GBiTConfig(update_scheme=scheme, lambda0=0.3, max_iter=max_iter)
+        fresh = gbit_solve(MatrixOperator(a), b, config)
+        cause, step = ("beta", 4) if consistent else ("alpha", 5)
+        assert fresh[1].breakdown == (cause if max_iter >= step else None)
+        op = MatrixOperator(a)
+        assert lsqr_solve(op, b, iters=10)[1].breakdown == cause
+        assert fingerprint(gbit_solve(op, b, config)) == fingerprint(fresh)
+
+    def test_tomography_operator(self, steps):
+        # D_f R at 32x32, 24 angles: shapes for which BLAS runs threaded
+        geom = standard_geometry(32, 24)
+        projector = build_projector(geom)
+        phantom = make_phantom(PhantomSpec(size=32))
+        clean, _ = generate_dpc_data(phantom, geom, ModelErrorSpec(0.2), projector)
+        b = add_noise(clean.values, NoiseSpec(level=0.10, seed=[0, 53]))
+
+        def forward():
+            return compose(make_diff("forward", geom.k, geom.l), projector)
+
+        config = GBiTConfig(epsilon=float(np.linalg.norm(b - clean.values)),
+                            x_true=phantom.values)
+        fresh = gbit_solve(forward(), b, config)
+        op = forward()
+        lsqr = lsqr_solve(op, b, iters=40, x_true=phantom.values)
+        steps["steps"] = 0
+        assert fingerprint(gbit_solve(op, b, config)) == fingerprint(fresh)
+        assert steps["steps"] == 0 and fresh[1].iterations < 40
+        assert fingerprint(lsqr) == fingerprint(
+            lsqr_solve(forward(), b, iters=40, x_true=phantom.values)
+        )
+
+
+class TestContinuationOnlyWhenItMust:
+    def setup_method(self):
+        self.a, self.b, _ = ill_posed(8)
+        self.op = MatrixOperator(self.a)
+
+    def test_repeat_solve_makes_no_steps(self, steps):
+        lsqr_solve(self.op, self.b, iters=12)
+        assert steps["steps"] == 12
+        lsqr_solve(self.op, self.b.copy(), iters=12)
+        lsqr_solve(self.op, self.b, iters=7)
+        assert steps["steps"] == 12
+
+    def test_new_operator_over_the_same_matrix_starts_fresh(self, steps):
+        lsqr_solve(self.op, self.b, iters=12)
+        lsqr_solve(MatrixOperator(self.a), self.b, iters=12)
+        assert steps["steps"] == 24
+
+    def test_data_one_ulp_apart_start_fresh(self, steps):
+        lsqr_solve(self.op, self.b, iters=12)
+        b = self.b.copy()
+        b[17] = np.nextafter(b[17], np.inf)
+        lsqr_solve(self.op, b, iters=12)
+        assert steps["steps"] == 24
+
+    def test_data_mutated_in_place_start_fresh(self, steps):
+        b = self.b.copy()
+        lsqr_solve(self.op, b, iters=12)
+        b[0] += 1.0
+        fresh = lsqr_solve(MatrixOperator(self.a), b, iters=12)
+        assert fingerprint(lsqr_solve(self.op, b, iters=12)) == fingerprint(fresh)
+        assert steps["steps"] == 36
+
+
+class TestParkedLifetime:
+    def test_operator_and_bases_die_with_the_last_reference(self, steps):
+        a, b, _ = ill_posed(9)
+        op = MatrixOperator(a)
+        solved = lsqr_solve(op, b, iters=10)
+        alive = weakref.ref(op)
+        dec = steps["dec"]
+        assert dec() is not None  # parked for the next solve
+        del op, solved
+        assert alive() is None and dec() is None
+
+    def test_older_operator_dying_keeps_the_newer_entry(self, steps):
+        a, b, _ = ill_posed(10)
+        old, new = MatrixOperator(a), MatrixOperator(a)
+        lsqr_solve(old, b, iters=10)
+        lsqr_solve(new, b, iters=10)
+        del old
+        lsqr_solve(new, b, iters=10)
+        assert steps["steps"] == 20
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss in KiB")
+    def test_repeated_study_passes_keep_the_peak_memory(self):
+        # The first pass drops every decomposition after its solve, as
+        # without continuation; the parked bases must then raise the peak
+        # neither by outliving a pass nor by being freed after the next
+        # decomposition is allocated.
+        script = """
+import resource
+import numpy as np
+from dpctomo import gbit
+from dpctomo.diffops import invert_forward, make_diff
+from dpctomo.linops import compose
+from dpctomo.projector import build_projector, standard_geometry
+from dpctomo.simlab import (ModelErrorSpec, NoiseSpec, PhantomSpec, add_noise,
+                            generate_dpc_data, make_phantom)
+geom = standard_geometry(64, 90)
+phantom = make_phantom(PhantomSpec(size=64))
+
+def study_pass(drop):
+    R = build_projector(geom)
+    f, c = generate_dpc_data(phantom, geom, ModelErrorSpec(0.2), R)
+    noise = NoiseSpec(level=0.10, seed=[0, 53])
+    b_f, b_c = add_noise(f.values, noise), add_noise(c.values, noise)
+    arms = [(compose(make_diff("forward", geom.k, geom.l), R), b_f, f.values),
+            (compose(make_diff("central", geom.k, geom.l), R), b_c, c.values),
+            (R, invert_forward(b_f, geom.k, geom.l), invert_forward(f.values, geom.k, geom.l))]
+    for A, b, clean in arms:
+        gbit.lsqr_solve(A, b, iters=200)
+        if drop:
+            gbit._parked.entry = None
+        config = gbit.GBiTConfig(epsilon=float(np.linalg.norm(b - clean)), max_iter=200)
+        gbit.gbit_solve(A, b, config)
+        if drop:
+            gbit._parked.entry = None
+
+study_pass(drop=True)
+first = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+for _ in range(3):
+    study_pass(drop=False)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - first)
+"""
+        result = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=300
+        )
+        assert result.returncode == 0, result.stderr
+        assert int(result.stdout) < 2 * 1024, result.stdout  # KiB
+
+
+class TestThreads:
+    def test_threads_sharing_an_operator_give_the_serial_bytes(self):
+        # each round extends the decomposition that the thread's previous
+        # round left, so a decomposition shared between the threads would be
+        # stepped by both at once
+        a, b, eps = ill_posed(11, m=300, n=200)
+        data = {"b": b, "other": b[::-1].copy()}
+        config = GBiTConfig(epsilon=eps)
+
+        def rounds(op, rhs):
+            return [(fingerprint(lsqr_solve(op, rhs, iters=iters)),
+                     fingerprint(gbit_solve(op, rhs, config))) for iters in range(4, 64, 4)]
+
+        serial = {key: rounds(MatrixOperator(a), rhs) for key, rhs in data.items()}
+        shared = MatrixOperator(a)
+        for pair in [("b", "b"), ("b", "other")] * 3:
+            results = {}
+            start = threading.Barrier(len(pair))
+
+            def work(slot, key):
+                start.wait()
+                results[slot] = rounds(shared, data[key])
+
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                threads = [threading.Thread(target=work, args=item) for item in enumerate(pair)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join()
+            finally:
+                sys.setswitchinterval(interval)
+            assert [results[slot] for slot in range(len(pair))] == [serial[k] for k in pair]
