@@ -33,8 +33,16 @@ def _fmt(value: float) -> str:
     return format(float(value), ".17g")
 
 
+def _plain(path, what: str, text: str) -> None:
+    """Refuse what Python's number parsers read but the writers never
+    write: digit-group underscores and non-ASCII digits or spaces."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"{path}: {what} must be plain ASCII numerals without '_'")
+
+
 def _positive(path, name: str, line: str, kind):
     """A header field read as ``kind`` (int or float), finite and above zero."""
+    _plain(path, f"header field {name}", line)
     try:
         value = kind(line)
     except ValueError:
@@ -45,11 +53,13 @@ def _positive(path, name: str, line: str, kind):
     return value
 
 
-def _values(path, lines, count: int) -> np.ndarray:
+def _values(path, text: str, count: int) -> np.ndarray:
     """The ``count`` data values, one per non-blank line; a malformed,
     missing or extra value, and NaN or inf, are refused where they enter."""
+    _plain(path, "data values", text)  # once per file: a per-line check slows reads
     try:
-        arr = np.array([float(line) for line in lines if line.strip()], dtype=np.float64)
+        arr = np.array([float(line) for line in text.split("\n") if line.strip()],
+                       dtype=np.float64)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
     if arr.size != count:
@@ -75,13 +85,14 @@ def write_image(path, image: Image, run_id: str = "-") -> None:
 
 
 def read_image(path) -> Image:
-    with open(path) as fh:
+    # an undecodable byte reads as a lone surrogate, which _plain refuses
+    with open(path, errors="surrogateescape") as fh:
         magic = fh.readline().split()
         if not magic or magic[0] != IMAGE_MAGIC:
             raise ValueError(f"{path}: not an image file (bad magic line)")
         n_x = _positive(path, "n_x", fh.readline(), int)
         n_y = _positive(path, "n_y", fh.readline(), int)
-        values = _values(path, fh, n_x * n_y)
+        values = _values(path, fh.read(), n_x * n_y)
     return Image(n_x=n_x, n_y=n_y, values=values)
 
 
@@ -107,7 +118,7 @@ def write_sinogram(path, sino: Sinogram, run_id: str = "-") -> None:
 
 
 def read_sinogram(path) -> Sinogram:
-    with open(path) as fh:
+    with open(path, errors="surrogateescape") as fh:
         lines = (line for line in fh if not line.startswith("#"))
         header = list(itertools.islice(lines, 5))
         magic = header[0].split() if header else []
@@ -120,7 +131,7 @@ def read_sinogram(path) -> Sinogram:
         h, ordering = _positive(path, "h", h, float), ordering.strip()
         if ordering != "ordering=angle-major":
             raise ValueError(f"{path}: unsupported ordering {ordering!r}")
-        values = _values(path, lines, k * l)
+        values = _values(path, "".join(lines), k * l)
     return Sinogram(k=k, l=l, values=values, h=h)
 
 

@@ -25,17 +25,17 @@ whatever the number of workers.
 The blocks are traced into the index and data arrays of the weight
 matrix itself: the assembling thread allocates them, for the most
 entries the angles can emit, before the pool starts; each block fills
-its own part, and the filled parts are then moved down into one run and
-the unused tail is given back in place.  Workers allocate little beyond
-the temporaries of one block: glibc serves each thread from its own
-malloc arena and keeps there what that thread frees, so blocks that the
-workers allocated stayed resident, and a process that assembled again
-grew its peak by half the 85 MB of both stored matrices over three more
-2-worker assemblies at 128^2 x 180.  No block buffer is copied either:
-separate buffers, freed after their copy, left each assembly's page
-faults to the heap's layout, about 2,200 in one process and 9,600 in
-another at that size, where tracing into the matrix's arrays costs
-about 1,900 in every process.
+its own part and sorts its rows there, and the filled parts are then
+moved down into one run and the unused tail is given back in place.
+Workers allocate nothing larger than one angle's temporaries, since
+glibc serves each thread from its own malloc arena and keeps there what
+that thread frees.  Blocks that the workers allocated raised the peak of
+a process that assembled three more times at 128^2 x 180 by half the
+85 MB of both stored matrices; blocks sorted in scipy's copies left
+56 MB resident after a freed 2-worker assembly at 256^2 x 180, against
+about 15 MB when sorted in place.  Separate block buffers copied into
+the matrix also left the page faults to the heap's layout: 2,200 or
+9,600 per assembly at 128^2 x 180, against about 1,900 in place.
 """
 
 from __future__ import annotations
@@ -242,14 +242,18 @@ def _trace_block(geom: ProjectionGeometry, angles: np.ndarray, indices, data) ->
         data[end : end + w.size] = w
         per_ray.append(counts)
         end += w.size
-    indptr = np.concatenate(([0], np.cumsum(np.concatenate(per_ray))))
-    rows = sp.csr_matrix((data[:end], indices[:end], indptr), shape=(indptr.size - 1, geom.n))
-    rows.sum_duplicates()  # sorts each row by pixel, as one global tocsr() does
-    # scipy keeps a prefix shorter than half its buffer as a copy, and
-    # sorts that: put it back
-    indices[: rows.nnz] = rows.indices
-    data[: rows.nnz] = rows.data
-    return np.diff(rows.indptr)
+    # sort the rows in the caller's arrays through an empty shell: the
+    # constructor keeps a prefix shorter than half its buffer as a copy,
+    # and scipy sorts a converted copy unless indptr has the index dtype
+    indptr = np.concatenate(([0], np.cumsum(np.concatenate(per_ray)))).astype(indices.dtype)
+    rows = sp.csr_matrix((indptr.size - 1, geom.n))
+    rows.indptr, rows.indices, rows.data = indptr, indices[:end], data[:end]
+    rows.sort_indices()  # each row by pixel, as one global tocsr() orders it
+    if not rows.has_canonical_format:
+        # rays along grid planes split a chord in two: sum the pair in
+        # place, as tocsr() does
+        rows.sum_duplicates()
+    return np.diff(indptr)
 
 
 def _worker_count(geom: ProjectionGeometry) -> int:
@@ -286,8 +290,11 @@ def _assemble_weights(geom: ProjectionGeometry, workers: int):
         indices[end : end + filled] = indices[start : start + filled]
         data[end : end + filled] = data[start : start + filled]
         end += filled
-    indices.resize(end)  # in place; refuses while a view of the array is alive
-    data.resize(end)
+    # in place.  The block views died with the pool; numpy's reference
+    # check would also count what a profiler or tracer holds of the array
+    # itself (a bound method for its call hook, the frame's locals)
+    indices.resize(end, refcheck=False)
+    data.resize(end, refcheck=False)
     indptr = np.concatenate(([0], np.cumsum(np.concatenate(counts))))
     weights = sp.csr_matrix((data, indices, indptr), shape=(geom.m, geom.n))
     return weights, weights.T.tocsr()

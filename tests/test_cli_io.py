@@ -135,6 +135,41 @@ class TestFileFormats:
         with pytest.raises(ValueError, match=f"m.sino: header field h .*{h!r}"):
             read_sinogram(path)
 
+    # Python's float and int read a digit-group underscore, non-ASCII
+    # digits and non-ASCII spaces; the writers never write them
+    @pytest.mark.parametrize("bad", ["1_5", "\u0663", "2\u00a0"])
+    def test_foreign_numerals_rejected_naming_the_file(self, tmp_path, bad):
+        img_path = tmp_path / "img.txt"
+        for index, what in ((1, "header field n_x"), (2, "header field n_y"), (4, "data values")):
+            write_image(img_path, Image(n_x=2, n_y=2, values=np.arange(4.0)))
+            img_path.write_text(with_line(img_path.read_text(), index, bad), encoding="utf-8")
+            with pytest.raises(ValueError, match=f"img.txt: {what} must be plain ASCII"):
+                read_image(img_path)
+        sino_path = tmp_path / "m.sino"
+        for index, what in ((1, "header field k"), (2, "header field l"), (3, "header field h"),
+                            (-1, "data values")):
+            write_sinogram(sino_path, Sinogram(k=3, l=2, values=np.arange(6.0)))
+            sino_path.write_text(with_line(sino_path.read_text(), index, bad), encoding="utf-8")
+            with pytest.raises(ValueError, match=f"m.sino: {what} must be plain ASCII"):
+                read_sinogram(sino_path)
+
+    def test_undecodable_bytes_rejected_naming_the_file(self, tmp_path):
+        img_path, sino_path = tmp_path / "img.txt", tmp_path / "m.sino"
+        img_path.write_bytes(b"DPCTOMO-IMAGE-1 -\n1\n1\n\xe9\n")
+        with pytest.raises(ValueError, match="img.txt: data values must be plain ASCII"):
+            read_image(img_path)
+        sino_path.write_bytes(b"DPCTOMO-SINO-1 -\n1\n\xff\n1\nordering=angle-major\n0\n")
+        with pytest.raises(ValueError, match="m.sino: header field l must be plain ASCII"):
+            read_sinogram(sino_path)
+
+    def test_foreign_text_in_comments_and_run_ids_is_read(self, tmp_path):
+        path = tmp_path / "m.sino"
+        write_sinogram(path, Sinogram(k=3, l=2, values=np.arange(6.0)), run_id="run_\u00e9")
+        lines = path.read_text(encoding="utf-8").splitlines()
+        lines.insert(7, "# noted by Jos\u00e9, dose_2")
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        np.testing.assert_array_equal(read_sinogram(path).values, np.arange(6.0))
+
     def test_manifest_roundtrip(self, tmp_path):
         manifest = RunManifest(
             run_id="m1", command=["phantom"], config={"size": 8}, seed=3,
@@ -311,10 +346,12 @@ class TestSimulateCommand:
             "cut_after_n_x": "DPCTOMO-IMAGE-1 -\n2\n",
             "negative_grid": "DPCTOMO-IMAGE-1 -\n-2\n-2\n0\n0\n0\n0\n",
             "missing_values": "DPCTOMO-IMAGE-1 -\n2\n2\n0\n0\n",
+            "underscore_value": "DPCTOMO-IMAGE-1 -\n2\n2\n1_5\n0\n0\n0\n",
+            "non_ascii_n_x": "DPCTOMO-IMAGE-1 -\n\u0662\n2\n0\n0\n0\n0\n",
         }
         for name, text in cases.items():
             phantom_path = tmp_path / f"{name}.txt"
-            phantom_path.write_text(text)
+            phantom_path.write_text(text, encoding="utf-8")
             result = run_cli(
                 "simulate", "--phantom", phantom_path, "--angles", 10,
                 "--out", tmp_path / "s.sino",
@@ -521,12 +558,15 @@ class TestReconstructCommand:
             ("sino", lambda text: "".join(text.splitlines(keepends=True)[:-3])),
             ("sino", lambda text: with_line(text, 3, "nan")),
             ("sino", lambda text: with_line(text, 3, "inf")),
+            ("sino", lambda text: with_line(text, 2, "3_0")),
+            ("sino", lambda text: with_line(text, 5, "\u0663")),
             ("manifest", lambda text: json.dumps({**json.loads(text), "bogus": 1})),
             ("manifest", lambda text: json.dumps(without_grid(json.loads(text)))),
             ("manifest", lambda text: json.dumps(with_grid(json.loads(text), -2))),
         ],
         ids=["empty_sinogram", "truncated_sinogram_header", "k_not_an_integer",
-             "missing_values", "nan_spacing", "inf_spacing", "unknown_manifest_key",
+             "missing_values", "nan_spacing", "inf_spacing", "underscore_l",
+             "non_ascii_value", "unknown_manifest_key",
              "config_without_grid", "negative_grid"],
     )
     def test_malformed_input_file_is_io_error(self, pipeline, tmp_path, target, edit):
@@ -534,7 +574,7 @@ class TestReconstructCommand:
         files = {"sino": tmp_path / "bad.sino", "manifest": tmp_path / "bad.sino.manifest.json"}
         files["sino"].write_text(sino_path.read_text())
         files["manifest"].write_text(Path(manifest_path_for(sino_path)).read_text())
-        files[target].write_text(edit(files[target].read_text()))
+        files[target].write_text(edit(files[target].read_text()), encoding="utf-8")
         result = run_cli(
             "reconstruct", "--sino", files["sino"], "--solver", "lsqr", "--out", tmp_path / "rec",
         )

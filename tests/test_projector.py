@@ -6,9 +6,11 @@ parametric overlap as the intersection length.  The production traversal
 walks plane crossings instead, so agreement is a genuine cross-check.
 """
 
+import cProfile
 import os
 import subprocess
 import sys
+import trace
 import warnings
 
 import numpy as np
@@ -103,6 +105,9 @@ ASSEMBLY_GEOMETRIES = {
     # at pi/2 the rays run along y planes, where rounding splits one
     # pixel's chord in two: duplicate entries that assembly must sum
     "rays_on_grid_planes": ProjectionGeometry(n_x=9, n_y=9, k=16, angles=uniform_angles(4)),
+    # the benchmark's study size: 8 blocks of 11 or 12 angles, one angle
+    # exactly pi/2
+    "study_64": standard_geometry(64, 90),
 }
 
 
@@ -151,6 +156,42 @@ print(nbytes, 1024 * growth)
         assert result.returncode == 0, result.stderr
         nbytes, growth = map(int, result.stdout.split())
         assert growth < nbytes / 4, (growth, nbytes)
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="resident size from /proc/self/statm")
+    def test_freed_threaded_assembly_leaves_little_resident(self):
+        # Blocks sorted in copies that the worker threads allocate stay in
+        # the workers' malloc arenas after the matrices are freed: about
+        # 56 MB at this size and worker count, against about 15 MB when
+        # each block is sorted in the matrix's own arrays.
+        script = """
+import resource
+from dpctomo.projector import _assemble_weights, standard_geometry
+def resident_mb():
+    with open("/proc/self/statm") as fh:
+        return int(fh.read().split()[1]) * resource.getpagesize() / 2**20
+geom = standard_geometry(256, 180)
+before = resident_mb()
+weights = _assemble_weights(geom, 2)
+weights = None
+print(resident_mb() - before)
+"""
+        result = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=300
+        )
+        assert result.returncode == 0, result.stderr
+        assert float(result.stdout) < 25.0, result.stdout
+
+    def test_assembles_under_a_profiler_and_a_tracer(self):
+        # both hold references to the arrays being assembled (a bound
+        # method for the call hook, the traced frame's locals), which
+        # must not stop the arrays from shrinking in place
+        geom = ASSEMBLY_GEOMETRIES["rays_on_grid_planes"]
+        ref, ref_t = reference_assembly(geom)
+        profiled = cProfile.Profile().runcall(_assemble_weights, geom, 2)
+        traced = trace.Trace(count=1, trace=0).runfunc(_assemble_weights, geom, 2)
+        for weights, weights_t in (profiled, traced):
+            assert_same_arrays(weights, ref)
+            assert_same_arrays(weights_t, ref_t)
 
     def test_oversubscribed_pool_with_fast_switching(self):
         # more workers than cores and a short switch interval, so that the
