@@ -13,29 +13,29 @@ the pixel in grid column ``ix`` (x direction) and row ``iy`` (y
 direction).  Sinograms are angle-major blocks of ``k`` detector values,
 matching the block structure of the difference operators.
 
-The weight matrix of a geometry is assembled once and stored sparse,
-together with its transpose, so repeated applies are fast and the
-accumulation order of the adjoint is fixed, making results reproducible
-run to run.  Assembly is vectorized over the rays of each angle, and
-blocks of angles are traced on a thread pool for geometries large enough
-to pay for it.  The transpose is one CSR -> CSC conversion of the
-stacked blocks.  Both stored matrices are the same, array for array,
-whatever the number of workers.
+The weight matrix W of a geometry is assembled once and stored once, as
+its transpose: CSR, each pixel's rays in ascending order, for the
+adjoint.  The forward product runs through scipy's CSC view of the same
+arrays, made per call; it adds each ray's pixels in ascending order, as
+the sorted CSR rows of W would, so both products keep their bits.  W and
+its transpose coexist only during assembly, which traces blocks of
+angles on a thread pool for large geometries; the transpose is one
+CSR -> CSC conversion, array for array the same for any worker count.
 
-The blocks are traced into the index and data arrays of the weight
-matrix itself: the assembling thread allocates them, for the most
-entries the angles can emit, before the pool starts; each block fills
-its own part and sorts its rows there, and the filled parts are then
-moved down into one run and the unused tail is given back in place.
-Workers allocate nothing larger than one angle's temporaries, since
-glibc serves each thread from its own malloc arena and keeps there what
-that thread frees.  Blocks that the workers allocated raised the peak of
-a process that assembled three more times at 128^2 x 180 by half the
-85 MB of both stored matrices; blocks sorted in scipy's copies left
-56 MB resident after a freed 2-worker assembly at 256^2 x 180, against
-about 15 MB when sorted in place.  Separate block buffers copied into
-the matrix also left the page faults to the heap's layout: 2,200 or
-9,600 per assembly at 128^2 x 180, against about 1,900 in place.
+The blocks are traced into the index and data arrays of W itself: the
+assembling thread allocates them, for the most entries the angles can
+emit, before the pool starts; each block fills its own part and sorts
+its rows there, and the filled parts are then moved down into one run
+and the unused tail is given back in place.  Workers allocate nothing
+larger than one angle's temporaries, since glibc serves each thread
+from its own malloc arena and keeps there what that thread frees.
+Blocks that the workers allocated raised the peak of a process that
+assembled three more times at 128^2 x 180 by half the 85 MB of W and
+its transpose; blocks sorted in scipy's copies left 56 MB resident after
+a freed 2-worker assembly at 256^2 x 180, against about 15 MB when
+sorted in place.  Separate block buffers copied into the matrix also
+left the page faults to the heap's layout: 2,200 or 9,600 per assembly
+at 128^2 x 180, against about 1,900 in place.
 """
 
 from __future__ import annotations
@@ -265,14 +265,14 @@ def _worker_count(geom: ProjectionGeometry) -> int:
     return max(1, min(cores, work // _WORK_PER_WORKER))
 
 
-def _assemble_weights(geom: ProjectionGeometry, workers: int):
-    """The weight matrix and its transpose, both CSR in canonical format.
+def _assemble_weights(geom: ProjectionGeometry, workers: int) -> sp.csr_matrix:
+    """The transpose of the weight matrix, CSR in canonical format.
 
     Threads trace the blocks of angles into consecutive parts of the
     index and data arrays allocated here; the filled parts are then
     moved down into one run and the arrays shrunk in place to it.  The
     transpose is one CSR -> CSC conversion, which lists each pixel's rays
-    in ascending order.  Neither matrix depends on the number of workers.
+    in ascending order.  It does not depend on the number of workers.
     """
     angle_blocks = np.array_split(geom.angles, min(_ANGLE_BLOCKS, geom.l))
     most = geom.k * (geom.n_x + geom.n_y + 3)  # entries one angle can emit
@@ -297,7 +297,7 @@ def _assemble_weights(geom: ProjectionGeometry, workers: int):
     data.resize(end, refcheck=False)
     indptr = np.concatenate(([0], np.cumsum(np.concatenate(counts))))
     weights = sp.csr_matrix((data, indices, indptr), shape=(geom.m, geom.n))
-    return weights, weights.T.tocsr()
+    return weights.T.tocsr()
 
 
 class ParallelProjector(LinearOperator):
@@ -306,10 +306,10 @@ class ParallelProjector(LinearOperator):
     def __init__(self, geometry: ProjectionGeometry):
         super().__init__(geometry.m, geometry.n)
         self.geometry = geometry
-        self._weights, self._weights_t = _assemble_weights(geometry, _worker_count(geometry))
+        self._weights_t = _assemble_weights(geometry, _worker_count(geometry))
 
     def apply(self, x):
-        return self._weights @ as_vector(x, self.cols, repr(self))
+        return self._weights_t.T @ as_vector(x, self.cols, repr(self))
 
     def apply_transpose(self, y):
         return self._weights_t @ as_vector(y, self.rows, repr(self))

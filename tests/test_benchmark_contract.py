@@ -4,7 +4,9 @@
 method in ``METHODS`` for a traced run, so renaming or deleting one of
 them breaks ``benchmarks/run.py --trace 1``.  These tests catch that here,
 and check that the wrapped projected solves are still called once per
-iteration each, so ``gbit.projected_solve_*`` keep timing that layer.
+iteration each, so ``gbit.projected_solve_*`` keep timing that layer,
+and that the projector's working set, as ``benchmarks/run.py`` counts it,
+is one stored matrix.
 The benchmark's own smoke run, at tiny sizes, guards every other package
 name and signature it calls.
 """
@@ -20,21 +22,22 @@ import numpy as np
 import pytest
 
 from dpctomo import gbit
+from dpctomo.projector import build_projector, standard_geometry
 from oracles import MatrixOperator
 
 ROOT = Path(__file__).resolve().parents[1]
-SPANS_PATH = ROOT / "benchmarks" / "spans.py"
 
 
-def load_spans():
-    spec = importlib.util.spec_from_file_location("benchmark_spans", SPANS_PATH)
+def load_benchmark_module(name):
+    path = ROOT / "benchmarks" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"benchmark_{name}", path)
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # dataclasses look their module up here
     spec.loader.exec_module(module)
     return module
 
 
-spans = load_spans()
+spans = load_benchmark_module("spans")
 
 
 @pytest.mark.parametrize("span,module,attr", spans.FUNCTIONS)
@@ -91,3 +94,12 @@ def test_benchmark_smoke_run_passes():
         cwd=ROOT, capture_output=True, text=True, timeout=300, check=False,
     )
     assert done.returncode == 0, (done.stdout + done.stderr)[-4000:]
+
+
+def test_projector_working_set_is_one_matrix():
+    # the weights are stored once, as the transpose: neither the weight
+    # matrix nor a stored view of the transpose adds to the working set
+    op = build_projector(standard_geometry(64, 90))
+    weights_t = op._weights_t
+    one = sum(a.nbytes for a in (weights_t.data, weights_t.indices, weights_t.indptr))
+    assert load_benchmark_module("run").held_bytes(op) == one

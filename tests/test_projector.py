@@ -18,6 +18,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
+from dpctomo import projector
 from dpctomo.diffops import make_diff
 from dpctomo.linops import ShapeMismatchError, compose
 from dpctomo.projector import (
@@ -66,8 +67,9 @@ def clipping_oracle(geom):
 
 
 def reference_assembly(geom):
-    """Both stored matrices the way a single global pass builds them: one
-    COO matrix of every traced entry, converted to CSR, then transposed."""
+    """The weight matrix and its transpose the way a single global pass
+    builds them: one COO matrix of every traced entry, converted to CSR,
+    then transposed."""
     work = np.empty((4, geom.k * (geom.n_x + geom.n_y + 4)))
     rows, cols, vals = [], [], []
     for a, theta in enumerate(geom.angles):
@@ -112,40 +114,53 @@ ASSEMBLY_GEOMETRIES = {
 
 
 class TestBlockedAssembly:
-    """The blocked, threaded assembly stores the same two matrices, array
-    for array, as one global COO -> CSR pass, for any worker count."""
+    """The blocked, threaded assembly stores the same transpose, array for
+    array, as one global COO -> CSR pass, for any worker count, and the
+    products through it are bit for bit those of the reference matrices."""
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("name", sorted(ASSEMBLY_GEOMETRIES))
     def test_matches_global_assembly_bit_for_bit(self, name, workers):
         geom = ASSEMBLY_GEOMETRIES[name]
-        weights, weights_t = _assemble_weights(geom, workers)
-        ref, ref_t = reference_assembly(geom)
-        assert_same_arrays(weights, ref)
-        assert_same_arrays(weights_t, ref_t)
+        _, ref_t = reference_assembly(geom)
+        assert_same_arrays(_assemble_weights(geom, workers), ref_t)
 
-    def test_projector_stores_the_reference_matrices(self):
-        geom = standard_geometry(16, 30)
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("name", sorted(ASSEMBLY_GEOMETRIES))
+    def test_products_match_the_reference_matrices_bit_for_bit(
+        self, name, workers, monkeypatch
+    ):
+        # the forward product runs through the CSC view of the stored
+        # transpose and must add each ray's pixels in W's own row order
+        geom = ASSEMBLY_GEOMETRIES[name]
+        monkeypatch.setattr(projector, "_worker_count", lambda geom: workers)
         op = build_projector(geom)
         ref, ref_t = reference_assembly(geom)
-        assert_same_arrays(op._weights, ref)
-        assert_same_arrays(op._weights_t, ref_t)
+        rng = np.random.default_rng(3)
+        x, y = rng.standard_normal(geom.n), rng.standard_normal(geom.m)
+        assert op.apply(x).tobytes() == (ref @ x).tobytes()
+        assert op.apply_transpose(y).tobytes() == (ref_t @ y).tobytes()
+
+    def test_projector_stores_the_reference_transpose(self):
+        geom = standard_geometry(16, 30)
+        _, ref_t = reference_assembly(geom)
+        assert_same_arrays(build_projector(geom)._weights_t, ref_t)
 
     @pytest.mark.skipif(sys.platform != "linux", reason="glibc malloc arenas, ru_maxrss in KiB")
     def test_repeated_threaded_assembly_keeps_its_peak_memory(self):
         # Blocks traced into memory that the worker threads allocate stay
         # in the workers' malloc arenas after they are freed, so every
         # further assembly in the process would raise the peak (by half
-        # the bytes of both matrices over three more at this size).
+        # the bytes of W and its transpose over three more at this size).
         script = """
 import resource
 from dpctomo.projector import _assemble_weights, standard_geometry
 geom = standard_geometry(128, 180)
 weights = _assemble_weights(geom, 2)
-nbytes = sum(a.nbytes for w in weights for a in (w.data, w.indices, w.indptr))
+nbytes = sum(a.nbytes for a in (weights.data, weights.indices, weights.indptr))
 first = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 for _ in range(3):
-    weights = None  # free the previous matrices first
+    weights = None  # free the previous matrix first
     weights = _assemble_weights(geom, 2)
 growth = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - first
 print(nbytes, 1024 * growth)
@@ -186,11 +201,10 @@ print(resident_mb() - before)
         # method for the call hook, the traced frame's locals), which
         # must not stop the arrays from shrinking in place
         geom = ASSEMBLY_GEOMETRIES["rays_on_grid_planes"]
-        ref, ref_t = reference_assembly(geom)
+        _, ref_t = reference_assembly(geom)
         profiled = cProfile.Profile().runcall(_assemble_weights, geom, 2)
         traced = trace.Trace(count=1, trace=0).runfunc(_assemble_weights, geom, 2)
-        for weights, weights_t in (profiled, traced):
-            assert_same_arrays(weights, ref)
+        for weights_t in (profiled, traced):
             assert_same_arrays(weights_t, ref_t)
 
     def test_oversubscribed_pool_with_fast_switching(self):
@@ -198,14 +212,13 @@ print(resident_mb() - before)
         # workers tracing angle blocks interleave often; the pooled blocks
         # must still come back, and be stacked, in angle order
         geom = standard_geometry(20, 24)
-        ref, ref_t = reference_assembly(geom)
+        _, ref_t = reference_assembly(geom)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            weights, weights_t = _assemble_weights(geom, 2 * (os.cpu_count() or 1) + 1)
+            weights_t = _assemble_weights(geom, 2 * (os.cpu_count() or 1) + 1)
         finally:
             sys.setswitchinterval(interval)
-        assert_same_arrays(weights, ref)
         assert_same_arrays(weights_t, ref_t)
 
 
@@ -312,7 +325,7 @@ class TestGeometricInvariants:
         # the rays nearly follow lose digits (2.7e-13 of the block maximum
         # at 64^2 x 180 for the pair 89 and 179 degrees, 1e-14 elsewhere).
         geom = standard_geometry(n, l)
-        weights = build_projector(geom)._weights
+        weights = build_projector(geom)._weights_t.T.tocsr()
         grid = np.arange(geom.n).reshape(n, n, order="F")  # [iy, ix] -> pixel index
         turned, transposed = np.rot90(grid, -1).ravel(order="F"), grid.T.ravel(order="F")
 
