@@ -162,6 +162,11 @@ def cmd_simulate(args) -> int:
             f"{args.phantom}: the image is {image.n_x} pixel wide, and the detector "
             "count defaults to the width; pass --detectors N with N >= 2"
         )
+    if args.noise > 0.0 and not image.values.any():
+        raise ValueError(
+            f"{args.phantom}: the image is all zero, and so is its data, which "
+            "relative noise cannot scale to; pass --noise 0"
+        )
     detectors = args.detectors if args.detectors is not None else image.n_x
     config = {
         "phantom": args.phantom,
@@ -275,6 +280,11 @@ def _solver_config(args, manifest: RunManifest, truth) -> GBiTConfig:
 
 def cmd_reconstruct(args) -> int:
     sino = read_sinogram(args.sino)
+    if sino.k < 2 and args.model != "phase-retrieval":
+        raise ValueError(
+            f"{args.sino}: the sinogram has k={sino.k} detectors per angle, and the "
+            f"{args.model} difference model needs k >= 2"
+        )
     manifest_path = manifest_path_for(args.sino)
     try:
         manifest_in = read_manifest(manifest_path)
@@ -305,6 +315,9 @@ def cmd_reconstruct(args) -> int:
         truth = read_image(args.truth)
         if (truth.n_x, truth.n_y) != (geom.n_x, geom.n_y):
             raise UsageError("--truth grid does not match the sinogram's manifest grid")
+        if "truth" in _FLAGS_READ[args.solver] and not truth.values.any():
+            raise ValueError(f"{args.truth}: the ground-truth image is all zero, so the "
+                             "error trace relative to it is undefined")
     solver_config = None if args.solver == "fbp" else _solver_config(args, manifest_in, truth)
 
     config = {

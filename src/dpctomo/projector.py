@@ -17,25 +17,11 @@ The weight matrix W of a geometry is assembled once and stored once, as
 its transpose: CSR, each pixel's rays in ascending order, for the
 adjoint.  The forward product runs through scipy's CSC view of the same
 arrays, made per call; it adds each ray's pixels in ascending order, as
-the sorted CSR rows of W would, so both products keep their bits.  W and
-its transpose coexist only during assembly, which traces blocks of
-angles on a thread pool for large geometries; the transpose is one
-CSR -> CSC conversion, array for array the same for any worker count.
-
-The blocks are traced into the index and data arrays of W itself: the
-assembling thread allocates them, for the most entries the angles can
-emit, before the pool starts; each block fills its own part and sorts
-its rows there, and the filled parts are then moved down into one run
-and the unused tail is given back in place.  Workers allocate nothing
-larger than one angle's temporaries, since glibc serves each thread
-from its own malloc arena and keeps there what that thread frees.
-Blocks that the workers allocated raised the peak of a process that
-assembled three more times at 128^2 x 180 by half the 85 MB of W and
-its transpose; blocks sorted in scipy's copies left 56 MB resident after
-a freed 2-worker assembly at 256^2 x 180, against about 15 MB when
-sorted in place.  Separate block buffers copied into the matrix also
-left the page faults to the heap's layout: 2,200 or 9,600 per assembly
-at 128^2 x 180, against about 1,900 in place.
+the sorted CSR rows of W would, so both products keep their bits.  Large
+geometries trace one run of angles per worker on a thread pool, into
+the arrays of W that the assembling thread allocates: workers allocate
+nothing larger than one angle's temporaries, because glibc keeps what a
+thread frees in that thread's malloc arena.
 """
 
 from __future__ import annotations
@@ -218,11 +204,10 @@ def _trace_angle(geom: ProjectionGeometry, theta: float, work: np.ndarray):
     return np.count_nonzero(valid, axis=1), ix[valid].astype(np.int32), lengths[valid]
 
 
-# Assembly traces blocks of angles on a thread pool once the geometry
-# traces about _WORK_PER_WORKER crossing parameters per worker: numpy and
-# scipy release the interpreter lock on arrays that large, while smaller
-# geometries are bound by the interpreter and assemble serially.
-_ANGLE_BLOCKS = 8
+# Assembly traces one run of angles per worker on a thread pool once the
+# geometry traces about _WORK_PER_WORKER crossing parameters per worker:
+# numpy and scipy release the interpreter lock on arrays that large, while
+# smaller geometries are bound by the interpreter and assemble serially.
 _WORK_PER_WORKER = 2_000_000
 
 
@@ -230,9 +215,9 @@ def _trace_block(geom: ProjectionGeometry, angles: np.ndarray, indices, data) ->
     """Trace a run of consecutive angles into the caller's arrays and
     return the number of entries of each ray.
 
-    ``indices`` and ``data`` receive the entries row after row, each ray's
-    sorted by pixel as one global tocsr() orders them; they must hold the
-    ``k * (n_x + n_y + 3)`` entries per angle that a tracing can emit.
+    ``indices`` and ``data`` receive the entries ray after ray, each ray's
+    in travel order; they must hold the ``k * (n_x + n_y + 3)`` entries
+    per angle that a tracing can emit.
     """
     work = np.empty((4, geom.k * (geom.n_x + geom.n_y + 4)))
     per_ray, end = [], 0
@@ -242,18 +227,7 @@ def _trace_block(geom: ProjectionGeometry, angles: np.ndarray, indices, data) ->
         data[end : end + w.size] = w
         per_ray.append(counts)
         end += w.size
-    # sort the rows in the caller's arrays through an empty shell: the
-    # constructor keeps a prefix shorter than half its buffer as a copy,
-    # and scipy sorts a converted copy unless indptr has the index dtype
-    indptr = np.concatenate(([0], np.cumsum(np.concatenate(per_ray)))).astype(indices.dtype)
-    rows = sp.csr_matrix((indptr.size - 1, geom.n))
-    rows.indptr, rows.indices, rows.data = indptr, indices[:end], data[:end]
-    rows.sort_indices()  # each row by pixel, as one global tocsr() orders it
-    if not rows.has_canonical_format:
-        # rays along grid planes split a chord in two: sum the pair in
-        # place, as tocsr() does
-        rows.sum_duplicates()
-    return np.diff(indptr)
+    return np.concatenate(per_ray)
 
 
 def _worker_count(geom: ProjectionGeometry) -> int:
@@ -268,21 +242,20 @@ def _worker_count(geom: ProjectionGeometry) -> int:
 def _assemble_weights(geom: ProjectionGeometry, workers: int) -> sp.csr_matrix:
     """The transpose of the weight matrix, CSR in canonical format.
 
-    Threads trace the blocks of angles into consecutive parts of the
-    index and data arrays allocated here; the filled parts are then
-    moved down into one run and the arrays shrunk in place to it.  The
-    transpose is one CSR -> CSC conversion, which lists each pixel's rays
-    in ascending order.  It does not depend on the number of workers.
+    The filled parts of the traced runs are moved down into one run and
+    the arrays shrunk in place to it.  The transpose, one CSR -> CSC
+    counting sort, lists each pixel's rays in ascending order whatever
+    the order within a ray, so it does not depend on the worker count.
     """
-    angle_blocks = np.array_split(geom.angles, min(_ANGLE_BLOCKS, geom.l))
+    angle_runs = np.array_split(geom.angles, min(workers, geom.l))
     most = geom.k * (geom.n_x + geom.n_y + 3)  # entries one angle can emit
-    starts = most * np.cumsum([0] + [angles.size for angles in angle_blocks])
+    starts = most * np.cumsum([0] + [angles.size for angles in angle_runs])
     parts = list(zip(starts[:-1], starts[1:]))
     indices = np.empty(starts[-1], dtype=np.int32)
     data = np.empty(starts[-1])
     with ThreadPoolExecutor(workers) as pool:  # starts no thread if unused
         run = pool.map if workers > 1 else map
-        counts = list(run(partial(_trace_block, geom), angle_blocks,
+        counts = list(run(partial(_trace_block, geom), angle_runs,
                           [indices[a:b] for a, b in parts], [data[a:b] for a, b in parts]))
     end = 0  # the moves may overlap; numpy assigns as if through a copy
     for (start, _), per_ray in zip(parts, counts):
@@ -290,14 +263,18 @@ def _assemble_weights(geom: ProjectionGeometry, workers: int) -> sp.csr_matrix:
         indices[end : end + filled] = indices[start : start + filled]
         data[end : end + filled] = data[start : start + filled]
         end += filled
-    # in place.  The block views died with the pool; numpy's reference
+    # in place.  The part views died with the pool; numpy's reference
     # check would also count what a profiler or tracer holds of the array
     # itself (a bound method for its call hook, the frame's locals)
     indices.resize(end, refcheck=False)
     data.resize(end, refcheck=False)
     indptr = np.concatenate(([0], np.cumsum(np.concatenate(counts))))
     weights = sp.csr_matrix((data, indices, indptr), shape=(geom.m, geom.n))
-    return weights.T.tocsr()
+    weights_t = weights.T.tocsr()
+    # a ray along a grid plane splits one chord into two entries; the sum
+    # of two addends has the same bits in either order
+    weights_t.sum_duplicates()
+    return weights_t
 
 
 class ParallelProjector(LinearOperator):

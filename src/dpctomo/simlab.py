@@ -162,12 +162,12 @@ def relative_error(x, x_true) -> float:
 # the study's mixing weight and relative noise level
 _OMEGA, _NOISE = 0.2, 0.10
 
-# a fixed offset so the study draws from its own seeded stream
-_ARM_SEED_OFFSETS = {"full_ct": 53}
-
 
 def derived_seed(master_seed: int, arm: str):
-    return [int(master_seed), _ARM_SEED_OFFSETS[arm]]
+    # a fixed offset so the study draws from its own seeded stream
+    if arm != "full_ct":
+        raise KeyError(arm)
+    return [int(master_seed), 53]
 
 
 @dataclass

@@ -1,0 +1,8 @@
+"""The tests' subprocesses import the package from this checkout, as the
+test process does through ``pythonpath`` in pyproject.toml."""
+
+import os
+from pathlib import Path
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))

@@ -339,6 +339,21 @@ class TestSimulateCommand:
         assert "--detectors" in result.stderr and "Traceback" not in result.stderr
         assert not (tmp_path / "s.sino").exists()
 
+    def test_all_zero_phantom_with_noise_is_io_error_naming_the_file(self, tmp_path):
+        # relative noise scales to the norm of the data, which is zero
+        phantom_path = tmp_path / "zero.txt"
+        write_image(phantom_path, Image(n_x=8, n_y=8, values=np.zeros(64)), "-")
+        sino_path = tmp_path / "s.sino"
+        result = run_cli("simulate", "--phantom", phantom_path, "--angles", 6, "--out", sino_path)
+        assert result.returncode == 3, result.stderr
+        assert str(phantom_path) in result.stderr and "Traceback" not in result.stderr
+        assert not sino_path.exists()
+        result = run_cli(
+            "simulate", "--phantom", phantom_path, "--angles", 6, "--noise", 0,
+            "--out", sino_path,
+        )
+        assert result.returncode == 0, result.stderr
+
     def test_malformed_phantom_is_io_error(self, tmp_path):
         cases = {
             "bad_value": "DPCTOMO-IMAGE-1 -\n2\n2\n1.0\nnot-a-number\n0\n0\n",
@@ -581,6 +596,43 @@ class TestReconstructCommand:
         assert result.returncode == 3, result.stderr
         assert str(files[target]) in result.stderr
         assert "Traceback" not in result.stderr
+
+    def test_one_detector_sinogram_is_io_error_naming_the_file(self, pipeline, tmp_path):
+        # the difference models need two detectors per angle; phase
+        # retrieval undoes the difference and needs none
+        _, _, sino_path = pipeline
+        bad = tmp_path / "k1.sino"
+        write_sinogram(bad, Sinogram(k=1, l=30, values=np.linspace(1.0, 2.0, 30)), "-")
+        (tmp_path / "k1.sino.manifest.json").write_text(
+            Path(manifest_path_for(sino_path)).read_text()
+        )
+        for solver, model in [("lsqr", "forward"), ("gbit", "central"), ("fbp", "forward")]:
+            result = run_cli(
+                "reconstruct", "--sino", bad, "--solver", solver, "--model", model,
+                "--epsilon", 1, "--out", tmp_path / "rec",
+            )
+            assert result.returncode == 3, (solver, model, result.stderr)
+            assert str(bad) in result.stderr and "Traceback" not in result.stderr
+            assert not (tmp_path / "rec.image.txt").exists()
+        result = run_cli(
+            "reconstruct", "--sino", bad, "--solver", "fbp", "--model", "phase-retrieval",
+            "--out", tmp_path / "rec",
+        )
+        assert result.returncode == 0, result.stderr
+
+    def test_all_zero_truth_is_io_error_naming_the_file(self, pipeline, tmp_path):
+        # the error trace is relative to the truth's norm
+        _, _, sino_path = pipeline
+        zero = tmp_path / "zero.txt"
+        write_image(zero, Image(n_x=24, n_y=24, values=np.zeros(576)), "-")
+        for solver in ("gbit", "lsqr"):
+            result = run_cli(
+                "reconstruct", "--sino", sino_path, "--solver", solver, "--epsilon", "manifest",
+                "--max-iter", 5, "--truth", zero, "--out", tmp_path / "rec",
+            )
+            assert result.returncode == 3, (solver, result.stderr)
+            assert str(zero) in result.stderr and "Traceback" not in result.stderr
+            assert not (tmp_path / "rec.image.txt").exists()
 
     @pytest.mark.parametrize("h", ["nan", "inf"])
     def test_fbp_refuses_nonfinite_spacing(self, pipeline, tmp_path, h):

@@ -11,6 +11,7 @@ from dpctomo.simlab import (
     NoiseSpec,
     PhantomSpec,
     add_noise,
+    derived_seed,
     generate_dpc_data,
     make_phantom,
     phase_retrieval_rhs,
@@ -207,6 +208,11 @@ class TestExperiments:
         result = run_experiment("full_ct", size=32, angles=48, seed=0, max_iter=120)
         assert result.arms["forward"].gbit_final_error < result.arms["central"].gbit_final_error
         assert result.arms["forward"].gbit_report.termination == "discrepancy_met"
+
+    def test_derived_seed_of_the_one_arm(self):
+        assert derived_seed(7, "full_ct") == [7, 53]
+        with pytest.raises(KeyError, match="single_projection"):
+            derived_seed(7, "single_projection")
 
     def test_experiments_are_reproducible(self):
         a = run_experiment("full_ct", size=24, angles=30, seed=5, max_iter=60)
