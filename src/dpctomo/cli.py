@@ -5,7 +5,10 @@ files holding NaN or inf), 4 numerical failure (solver breakdown before
 any valid iterate, or a solver trace gone non-finite).  Every command
 writes a JSON manifest next to its primary output and stamps the shared
 run id into the files it produces, so a result can always be traced back
-to the exact command, configuration, and seed.
+to the exact command, configuration, and seed.  The manifest's
+``wall_clock`` holds the seconds of each phase: ``build`` (the phantom's
+rasterization or the projector's assembly), then ``simulate`` or
+``solve``, then ``write`` (the output files, not the manifest itself).
 """
 
 from __future__ import annotations
@@ -54,6 +57,13 @@ _VARIANTS = {"modified": "shepp_logan_modified", "classic": "shepp_logan_classic
 # reconstruct's solver flags, and the ones each solver reads
 _SOLVER_FLAGS = ("eta", "epsilon", "lambda0", "maxcounter", "max_iter", "scheme")
 _FLAGS_READ = {"gbit": (*_SOLVER_FLAGS, "truth"), "lsqr": ("max_iter", "truth"), "fbp": ()}
+# the flags each command echoes into its manifest, in the parser's order
+_ECHOED = {
+    "phantom": ("size", "variant", "out"),
+    "simulate": ("phantom", "angles", "detectors", "model", "omega", "noise", "offset", "seed",
+                 "out"),
+    "reconstruct": ("sino", "solver", "model", *_SOLVER_FLAGS, "truth", "out"),
+}
 
 
 class UsageError(Exception):
@@ -118,28 +128,38 @@ def _timed(clock: dict, phase: str):
     clock[phase] = round(time.perf_counter() - t0, 6)
 
 
+@contextmanager
+def _run_outputs(args, config: dict, clock: dict, outputs: list[str], **fields):
+    """Yield the run id; time the body, which writes ``outputs``, as
+    ``write``; then write the manifest beside ``args.out``.  ``fields``
+    are the manifest's optional ``seed`` and ``extra``."""
+    run_id = make_run_id({"command": args.command, **config})
+    with _timed(clock, "write"):
+        yield run_id
+    write_manifest(
+        manifest_path_for(args.out),
+        RunManifest(
+            run_id=run_id,
+            command=[args.command] + _echo_args(args, _ECHOED[args.command]),
+            config=config,
+            wall_clock=clock,
+            outputs=outputs,
+            **fields,
+        ),
+    )
+
+
 def cmd_phantom(args) -> int:
     if args.size < 8:
         raise UsageError(f"--size must be >= 8, got {args.size}")
     config = {"size": args.size, "variant": args.variant}
-    run_id = make_run_id({"command": "phantom", **config})
     clock: dict = {}
     with _timed(clock, "build"):
         image = make_phantom(PhantomSpec(variant=_VARIANTS[args.variant], size=args.size))
     pgm_path = args.out + ".pgm"
-    with _timed(clock, "write"):
+    with _run_outputs(args, config, clock, [args.out, pgm_path]) as run_id:
         write_image(args.out, image, run_id)
         write_image_pgm(pgm_path, image)
-        write_manifest(
-            manifest_path_for(args.out),
-            RunManifest(
-                run_id=run_id,
-                command=["phantom"] + _echo_args(args, ["size", "variant", "out"]),
-                config=config,
-                wall_clock=clock,
-                outputs=[args.out, pgm_path],
-            ),
-        )
     print(f"wrote {args.out} and {pgm_path} (run {run_id})")
     return EXIT_OK
 
@@ -162,11 +182,6 @@ def cmd_simulate(args) -> int:
             f"{args.phantom}: the image is {image.n_x} pixel wide, and the detector "
             "count defaults to the width; pass --detectors N with N >= 2"
         )
-    if args.noise > 0.0 and not image.values.any():
-        raise ValueError(
-            f"{args.phantom}: the image is all zero, and so is its data, which "
-            "relative noise cannot scale to; pass --noise 0"
-        )
     detectors = args.detectors if args.detectors is not None else image.n_x
     config = {
         "phantom": args.phantom,
@@ -181,7 +196,6 @@ def cmd_simulate(args) -> int:
         "offset": args.offset,
         "seed": args.seed,
     }
-    run_id = make_run_id({"command": "simulate", **config})
     clock: dict = {}
     geom = ProjectionGeometry(
         n_x=image.n_x, n_y=image.n_y, k=detectors, angles=uniform_angles(args.angles)
@@ -191,6 +205,11 @@ def cmd_simulate(args) -> int:
     with _timed(clock, "simulate"):
         b_f, b_c = generate_dpc_data(image, geom, ModelErrorSpec(args.omega), projector=projector)
         clean = (b_f if args.model == "forward" else b_c).values
+        if args.noise > 0.0 and np.linalg.norm(clean) == 0.0:
+            raise ValueError(
+                f"{args.phantom}: the image's {args.model}-model data are all zero, "
+                "which relative noise cannot scale to; pass --noise 0"
+            )
         noisy = add_noise(clean, NoiseSpec(level=args.noise, offset=args.offset, seed=args.seed))
         extra = {"epsilon_noise": float(np.linalg.norm(noisy - clean))}
         if args.model == "forward":
@@ -199,25 +218,9 @@ def cmd_simulate(args) -> int:
                     invert_forward(noisy, geom.k, geom.l) - invert_forward(clean, geom.k, geom.l)
                 )
             )
-    with _timed(clock, "write"):
+    with _run_outputs(args, config, clock, [args.out], seed=args.seed, extra=extra) as run_id:
         sino = Sinogram(k=geom.k, l=geom.l, values=noisy, h=geom.h)
         write_sinogram(args.out, sino, run_id)
-        write_manifest(
-            manifest_path_for(args.out),
-            RunManifest(
-                run_id=run_id,
-                command=["simulate"] + _echo_args(
-                    args,
-                    ["phantom", "angles", "detectors", "model", "omega", "noise",
-                     "offset", "seed", "out"],
-                ),
-                config=config,
-                seed=args.seed,
-                wall_clock=clock,
-                outputs=[args.out],
-                extra=extra,
-            ),
-        )
     print(f"wrote {args.out} (run {run_id}, realized epsilon {extra['epsilon_noise']:.6g})")
     return EXIT_OK
 
@@ -262,20 +265,18 @@ def _solver_config(args, manifest: RunManifest, truth) -> GBiTConfig:
     else:
         flags = {"eta": args.eta, "epsilon": _resolve_epsilon(args, manifest),
                  "lambda0": args.lambda0, "maxcounter": args.maxcounter,
-                 "update_scheme": args.scheme}
+                 "update_scheme": args.scheme or GBiTConfig.update_scheme}
+        if flags["update_scheme"] == "classic" and flags["epsilon"] is None:
+            raise UsageError(
+                "gbit with the classic scheme selects the ridge weight by the "
+                "discrepancy rule, which needs the noise norm: pass --epsilon "
+                "VALUE or --epsilon manifest (or use --scheme alternative)"
+            )
     flags.update(max_iter=args.max_iter, x_true=None if truth is None else truth.values)
-    config = GBiTConfig(**{name: value for name, value in flags.items() if value is not None})
-    if config.update_scheme == "classic" and config.epsilon is None:
-        raise UsageError(
-            "gbit with the classic scheme selects the ridge weight by the "
-            "discrepancy rule, which needs the noise norm: pass --epsilon "
-            "VALUE or --epsilon manifest (or use --scheme alternative)"
-        )
     try:
-        config.validate()
+        return GBiTConfig(**{name: value for name, value in flags.items() if value is not None})
     except ValueError as exc:  # the settings come from flags: a usage error
         raise UsageError(str(exc)) from exc
-    return config
 
 
 def cmd_reconstruct(args) -> int:
@@ -329,7 +330,6 @@ def cmd_reconstruct(args) -> int:
         "n_x": geom.n_x,
         "n_y": geom.n_y,
     }
-    run_id = make_run_id({"command": "reconstruct", **config})
     clock: dict = {}
     with _timed(clock, "build"):
         projector = build_projector(geom)
@@ -367,29 +367,14 @@ def cmd_reconstruct(args) -> int:
             if report.records and report.records[-1].rel_error is not None:
                 extra["final_rel_error"] = report.records[-1].rel_error
 
-    image_path = args.out + ".image.txt"
-    pgm_path = args.out + ".image.pgm"
-    outputs = [image_path, pgm_path]
-    with _timed(clock, "write"):
+    image_path, pgm_path = args.out + ".image.txt", args.out + ".image.pgm"
+    report_path = args.out + ".report.csv"
+    outputs = [image_path, pgm_path] + ([report_path] if report is not None else [])
+    with _run_outputs(args, config, clock, outputs, extra=extra) as run_id:
         write_image(image_path, image_out, run_id)
         write_image_pgm(pgm_path, image_out)
         if report is not None:
-            report_path = args.out + ".report.csv"
             write_report_csv(report_path, report, run_id)
-            outputs.append(report_path)
-        write_manifest(
-            args.out + ".manifest.json",
-            RunManifest(
-                run_id=run_id,
-                command=["reconstruct"] + _echo_args(
-                    args, ["sino", "solver", "model", *_SOLVER_FLAGS, "truth", "out"]
-                ),
-                config=config,
-                wall_clock=clock,
-                outputs=outputs,
-                extra=extra,
-            ),
-        )
     summary = f"wrote {', '.join(outputs)} (run {run_id}"
     if "termination" in extra:
         summary += f", {extra['termination']} after {extra['iterations']} iterations"

@@ -305,9 +305,9 @@ def secant_update(lambda_prev, phi0, phi_lambda, target):
     return lam
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class GBiTConfig:
-    """Solver configuration.
+    """Solver configuration, checked when it is made (ValueError).
 
     ``update_scheme`` selects how the ridge weight evolves: ``classic``
     chases eta * epsilon (requires the noise-norm estimate ``epsilon``),
@@ -329,7 +329,7 @@ class GBiTConfig:
     x_true: np.ndarray | None = None
     track_residual: bool = False
 
-    def validate(self):
+    def __post_init__(self):
         for name in ("eta", "lambda0", "epsilon"):
             value = getattr(self, name)
             if value is not None and not np.isfinite(value):
@@ -460,7 +460,6 @@ def gbit_solve(A: LinearOperator, b, config: GBiTConfig):
     unmet reports ``breakdown``.  A non-finite ``b`` or ``x_true`` raises
     ValueError; a zero ``b`` returns the zero vector with no iterations.
     """
-    config.validate()
     b = as_vector(b, A.rows, "right-hand side")
     x_true = None if config.x_true is None else as_vector(config.x_true, A.cols, "ground truth")
     for name, vector in (("right-hand side b", b), ("ground truth x_true", x_true)):

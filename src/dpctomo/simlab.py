@@ -19,7 +19,7 @@ Shepp-Logan phantom, one detector per grid column, mixing weight 0.2 and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
@@ -146,7 +146,9 @@ def add_noise(b_clean, spec: NoiseSpec) -> np.ndarray:
 
 def phase_retrieval_rhs(b, k: int, l: int) -> np.ndarray:
     """Undo the blockwise forward difference, turning derivative data back
-    into plain projection data (the first step of the two-step path)."""
+    into plain projection data (the first step of the two-step path).  An
+    alias of ``invert_forward``, kept because ``benchmarks/workloads.py``
+    calls it."""
     return invert_forward(b, k, l)
 
 
@@ -199,12 +201,11 @@ class ExperimentResult:
     arms: dict[str, ReconstructionArm]
 
 
-def _solve_arm(
-    A: LinearOperator, b, truth, epsilon, model, config: GBiTConfig
-) -> ReconstructionArm:
+def _solve_arm(A: LinearOperator, b, truth, epsilon, model, max_iter) -> ReconstructionArm:
     b = as_vector(b, A.rows, "arm data")
-    x_lsqr, rep_lsqr = lsqr_solve(A, b, iters=config.max_iter, x_true=truth)
-    x_gbit, rep_gbit = gbit_solve(A, b, replace(config, epsilon=epsilon, x_true=truth))
+    x_lsqr, rep_lsqr = lsqr_solve(A, b, iters=max_iter, x_true=truth)
+    config = GBiTConfig(epsilon=epsilon, max_iter=max_iter, x_true=truth)
+    x_gbit, rep_gbit = gbit_solve(A, b, config)
     return ReconstructionArm(
         model=model,
         epsilon=epsilon,
@@ -218,7 +219,6 @@ def _solve_arm(
 
 
 def _run_full_ct(*, size, angles, seed, max_iter) -> dict[str, ReconstructionArm]:
-    solver = GBiTConfig(max_iter=max_iter)
     phantom = make_phantom(PhantomSpec(size=size))
     geom = standard_geometry(size, angles)
     projector = build_projector(geom)
@@ -233,14 +233,14 @@ def _run_full_ct(*, size, angles, seed, max_iter) -> dict[str, ReconstructionArm
     a_central = compose(make_diff("central", geom.k, geom.l), projector)
     eps_f = float(np.linalg.norm(b_f - b_f_clean.values))
     eps_c = float(np.linalg.norm(b_c - b_c_clean.values))
-    rhs_pr = phase_retrieval_rhs(b_f, geom.k, geom.l)
-    rhs_pr_clean = phase_retrieval_rhs(b_f_clean.values, geom.k, geom.l)
+    rhs_pr = invert_forward(b_f, geom.k, geom.l)
+    rhs_pr_clean = invert_forward(b_f_clean.values, geom.k, geom.l)
     eps_pr = float(np.linalg.norm(rhs_pr - rhs_pr_clean))
     return {
-        "forward": _solve_arm(a_forward, b_f, x_true, eps_f, "forward", solver),
-        "central": _solve_arm(a_central, b_c, x_true, eps_c, "central", solver),
+        "forward": _solve_arm(a_forward, b_f, x_true, eps_f, "forward", max_iter),
+        "central": _solve_arm(a_central, b_c, x_true, eps_c, "central", max_iter),
         "phase_retrieval": _solve_arm(
-            projector, rhs_pr, x_true, eps_pr, "phase_retrieval", solver
+            projector, rhs_pr, x_true, eps_pr, "phase_retrieval", max_iter
         ),
     }
 

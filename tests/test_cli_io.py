@@ -4,6 +4,7 @@ CLI invocations go through ``python -m dpctomo`` in a subprocess so the
 tests exercise argument parsing and exit codes exactly as a user would.
 """
 
+import argparse
 import json
 import subprocess
 import sys
@@ -12,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from dpctomo.cli import build_parser
 from dpctomo.diffops import invert_forward, make_diff
 from dpctomo.fbp import fbp_reconstruct
 from dpctomo.fileio import (
@@ -340,19 +342,29 @@ class TestSimulateCommand:
         assert not (tmp_path / "s.sino").exists()
 
     def test_all_zero_phantom_with_noise_is_io_error_naming_the_file(self, tmp_path):
-        # relative noise scales to the norm of the data, which is zero
-        phantom_path = tmp_path / "zero.txt"
-        write_image(phantom_path, Image(n_x=8, n_y=8, values=np.zeros(64)), "-")
-        sino_path = tmp_path / "s.sino"
-        result = run_cli("simulate", "--phantom", phantom_path, "--angles", 6, "--out", sino_path)
-        assert result.returncode == 3, result.stderr
-        assert str(phantom_path) in result.stderr and "Traceback" not in result.stderr
-        assert not sino_path.exists()
-        result = run_cli(
-            "simulate", "--phantom", phantom_path, "--angles", 6, "--noise", 0,
-            "--out", sino_path,
-        )
-        assert result.returncode == 0, result.stderr
+        # relative noise scales to the norm of the data, which is zero for
+        # an all-zero image, and for a corner pixel that both rays of one
+        # angle miss
+        corner = np.zeros(256)
+        corner[0] = 1.0
+        cases = {
+            "zero": (Image(n_x=8, n_y=8, values=np.zeros(64)), ["--angles", 6]),
+            "corner": (Image(n_x=16, n_y=16, values=corner), ["--angles", 1, "--detectors", 2]),
+        }
+        for name, (image, geometry) in cases.items():
+            phantom_path = tmp_path / f"{name}.txt"
+            write_image(phantom_path, image, "-")
+            sino_path = tmp_path / f"{name}.sino"
+            result = run_cli("simulate", "--phantom", phantom_path, *geometry, "--out", sino_path)
+            assert result.returncode == 3, (name, result.stderr)
+            assert str(phantom_path) in result.stderr, name
+            assert "Traceback" not in result.stderr, name
+            assert not sino_path.exists(), name
+            result = run_cli(
+                "simulate", "--phantom", phantom_path, *geometry, "--noise", 0,
+                "--out", sino_path,
+            )
+            assert result.returncode == 0, (name, result.stderr)
 
     def test_malformed_phantom_is_io_error(self, tmp_path):
         cases = {
@@ -664,3 +676,43 @@ class TestReconstructCommand:
         )
         assert result.returncode == 2
         assert "manifest" in result.stderr
+
+
+def option_flags(command: str) -> list[str]:
+    """The options of one command's parser, in the order they were added."""
+    (commands,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return [a.option_strings[0] for a in commands.choices[command]._actions if a.dest != "help"]
+
+
+class TestManifests:
+    @pytest.mark.parametrize(
+        "command, phases",
+        [
+            ("phantom", ["build", "write"]),
+            ("simulate", ["build", "simulate", "write"]),
+            ("reconstruct", ["build", "solve", "write"]),
+        ],
+    )
+    def test_echoes_every_flag_and_times_every_phase(self, pipeline, tmp_path, command, phases):
+        _, phantom_path, sino_path = pipeline
+        out = str(tmp_path / "out")
+        argv = {
+            "phantom": ["phantom", "--size", "8", "--variant", "classic", "--out", out],
+            "simulate": [
+                "simulate", "--phantom", str(phantom_path), "--angles", "6", "--detectors", "20",
+                "--model", "central", "--omega", "0.1", "--noise", "0.05", "--offset", "0.5",
+                "--seed", "3", "--out", out,
+            ],
+            "reconstruct": [
+                "reconstruct", "--sino", str(sino_path), "--solver", "gbit", "--model", "forward",
+                "--eta", "1.5", "--epsilon", "manifest", "--lambda0", "0.5", "--maxcounter", "2",
+                "--max-iter", "5", "--scheme", "classic", "--truth", str(phantom_path),
+                "--out", out,
+            ],
+        }[command]
+        assert argv[1::2] == option_flags(command)  # every flag, in the parser's order
+        result = run_cli(*argv)
+        assert result.returncode == 0, result.stderr
+        manifest = read_manifest(manifest_path_for(out))
+        assert manifest.command == argv
+        assert sorted(manifest.wall_clock) == phases

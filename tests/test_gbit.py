@@ -398,7 +398,7 @@ class TestGBiTSolve:
 
     def test_classic_requires_noise_estimate(self):
         with pytest.raises(ValueError, match="epsilon"):
-            GBiTConfig(update_scheme="classic", epsilon=None).validate()
+            GBiTConfig(update_scheme="classic", epsilon=None)
 
     def test_alternative_scheme_runs_without_noise_estimate(self):
         rng = np.random.default_rng(31)
@@ -414,15 +414,15 @@ class TestGBiTSolve:
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            GBiTConfig(eta=0.9, epsilon=1.0).validate()
+            GBiTConfig(eta=0.9, epsilon=1.0)
         with pytest.raises(ValueError):
-            GBiTConfig(epsilon=1.0, lambda0=0.0).validate()
+            GBiTConfig(epsilon=1.0, lambda0=0.0)
         with pytest.raises(ValueError):
-            GBiTConfig(epsilon=1.0, max_iter=0).validate()
+            GBiTConfig(epsilon=1.0, max_iter=0)
         with pytest.raises(ValueError):
-            GBiTConfig(epsilon=1.0, maxcounter=0).validate()
+            GBiTConfig(epsilon=1.0, maxcounter=0)
         with pytest.raises(ValueError):
-            GBiTConfig(epsilon=1.0, update_scheme="bogus").validate()
+            GBiTConfig(epsilon=1.0, update_scheme="bogus")
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     @pytest.mark.parametrize("name", ["eta", "lambda0", "epsilon"])
@@ -430,7 +430,7 @@ class TestGBiTSolve:
     def test_nonfinite_settings_rejected(self, scheme, name, value):
         settings = {"epsilon": 1.0, "update_scheme": scheme, name: value}
         with pytest.raises(ValueError, match=f"{name} must be finite"):
-            GBiTConfig(**settings).validate()
+            GBiTConfig(**settings)
 
     @pytest.mark.parametrize(
         "matrix,rhs,cause,termination,iterations",
