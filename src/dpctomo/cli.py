@@ -1,14 +1,17 @@
 """Command-line front end.
 
-Exit codes: 0 success, 2 usage error, 3 I/O failure (including input
-files holding NaN or inf), 4 numerical failure (solver breakdown before
-any valid iterate, or a solver trace gone non-finite).  Every command
-writes a JSON manifest next to its primary output and stamps the shared
-run id into the files it produces, so a result can always be traced back
-to the exact command, configuration, and seed.  The manifest's
-``wall_clock`` holds the seconds of each phase: ``build`` (the phantom's
-rasterization or the projector's assembly), then ``simulate`` or
-``solve``, then ``write`` (the output files, not the manifest itself).
+Exit codes: 0 success, 2 usage error, 3 bad input (``OSError``, or an
+``InputError`` naming the refused file), 4 numerical failure (solver
+breakdown before any valid iterate, or a non-finite trace or image).
+Any other exception is a defect and surfaces with its traceback.  Every
+command writes a JSON manifest next to its primary output and stamps the
+shared run id into the files it produces, so a result can always be
+traced back to the exact command, configuration, and seed.  The run id
+hashes the manifest's ``config``: the echoed flags (``_ECHOED``) and the
+values the command resolved, such as the grid size.  Its ``wall_clock``
+holds the seconds of each phase: ``build`` (the phantom's rasterization
+or the projector's assembly), then ``simulate`` or ``solve``, then
+``write`` (the output files, not the manifest itself).
 """
 
 from __future__ import annotations
@@ -21,9 +24,9 @@ from contextlib import contextmanager
 import numpy as np
 
 from . import __version__
-from .diffops import invert_forward, make_diff
 from .fbp import fbp_reconstruct
 from .fileio import (
+    InputError,
     RunManifest,
     make_run_id,
     manifest_path_for,
@@ -37,7 +40,6 @@ from .fileio import (
     write_sinogram,
 )
 from .gbit import GBiTConfig, gbit_solve, lsqr_solve
-from .linops import compose
 from .projector import Image, ProjectionGeometry, Sinogram, build_projector, uniform_angles
 from .simlab import (
     ModelErrorSpec,
@@ -46,6 +48,8 @@ from .simlab import (
     add_noise,
     generate_dpc_data,
     make_phantom,
+    model_system,
+    realized_epsilon,
 )
 
 EXIT_OK = 0
@@ -129,10 +133,13 @@ def _timed(clock: dict, phase: str):
 
 
 @contextmanager
-def _run_outputs(args, config: dict, clock: dict, outputs: list[str], **fields):
+def _run_outputs(args, resolved: dict, clock: dict, outputs: list[str], **fields):
     """Yield the run id; time the body, which writes ``outputs``, as
-    ``write``; then write the manifest beside ``args.out``.  ``fields``
-    are the manifest's optional ``seed`` and ``extra``."""
+    ``write``; then write the manifest beside ``args.out``.  ``resolved``
+    updates the echoed flags in the config; ``fields`` are the manifest's
+    optional ``seed`` and ``extra``."""
+    config = {name: getattr(args, name) for name in _ECHOED[args.command] if name != "out"}
+    config.update(resolved)
     run_id = make_run_id({"command": args.command, **config})
     with _timed(clock, "write"):
         yield run_id
@@ -152,12 +159,11 @@ def _run_outputs(args, config: dict, clock: dict, outputs: list[str], **fields):
 def cmd_phantom(args) -> int:
     if args.size < 8:
         raise UsageError(f"--size must be >= 8, got {args.size}")
-    config = {"size": args.size, "variant": args.variant}
     clock: dict = {}
     with _timed(clock, "build"):
         image = make_phantom(PhantomSpec(variant=_VARIANTS[args.variant], size=args.size))
     pgm_path = args.out + ".pgm"
-    with _run_outputs(args, config, clock, [args.out, pgm_path]) as run_id:
+    with _run_outputs(args, {}, clock, [args.out, pgm_path]) as run_id:
         write_image(args.out, image, run_id)
         write_image_pgm(pgm_path, image)
     print(f"wrote {args.out} and {pgm_path} (run {run_id})")
@@ -178,24 +184,11 @@ def cmd_simulate(args) -> int:
         raise UsageError(f"--detectors must be >= 2, got {args.detectors}")
     image = read_image(args.phantom)
     if args.detectors is None and image.n_x < 2:
-        raise ValueError(
+        raise InputError(
             f"{args.phantom}: the image is {image.n_x} pixel wide, and the detector "
             "count defaults to the width; pass --detectors N with N >= 2"
         )
     detectors = args.detectors if args.detectors is not None else image.n_x
-    config = {
-        "phantom": args.phantom,
-        "n_x": image.n_x,
-        "n_y": image.n_y,
-        "angles": args.angles,
-        "detectors": detectors,
-        "h": 1.0,
-        "model": args.model,
-        "omega": args.omega,
-        "noise": args.noise,
-        "offset": args.offset,
-        "seed": args.seed,
-    }
     clock: dict = {}
     geom = ProjectionGeometry(
         n_x=image.n_x, n_y=image.n_y, k=detectors, angles=uniform_angles(args.angles)
@@ -206,19 +199,18 @@ def cmd_simulate(args) -> int:
         b_f, b_c = generate_dpc_data(image, geom, ModelErrorSpec(args.omega), projector=projector)
         clean = (b_f if args.model == "forward" else b_c).values
         if args.noise > 0.0 and np.linalg.norm(clean) == 0.0:
-            raise ValueError(
+            raise InputError(
                 f"{args.phantom}: the image's {args.model}-model data are all zero, "
                 "which relative noise cannot scale to; pass --noise 0"
             )
         noisy = add_noise(clean, NoiseSpec(level=args.noise, offset=args.offset, seed=args.seed))
-        extra = {"epsilon_noise": float(np.linalg.norm(noisy - clean))}
+        extra = {"epsilon_noise": realized_epsilon(args.model, noisy, clean, projector)}
         if args.model == "forward":
-            extra["epsilon_phase_retrieval"] = float(
-                np.linalg.norm(
-                    invert_forward(noisy, geom.k, geom.l) - invert_forward(clean, geom.k, geom.l)
-                )
+            extra["epsilon_phase_retrieval"] = realized_epsilon(
+                "phase_retrieval", noisy, clean, projector
             )
-    with _run_outputs(args, config, clock, [args.out], seed=args.seed, extra=extra) as run_id:
+    resolved = {"n_x": image.n_x, "n_y": image.n_y, "detectors": detectors, "h": geom.h}
+    with _run_outputs(args, resolved, clock, [args.out], seed=args.seed, extra=extra) as run_id:
         sino = Sinogram(k=geom.k, l=geom.l, values=noisy, h=geom.h)
         write_sinogram(args.out, sino, run_id)
     print(f"wrote {args.out} (run {run_id}, realized epsilon {extra['epsilon_noise']:.6g})")
@@ -249,7 +241,13 @@ def _resolve_epsilon(args, manifest: RunManifest) -> float | None:
         )
         if key not in manifest.extra:
             raise UsageError(f"manifest carries no realized value {key!r}")
-        return float(manifest.extra[key])
+        try:
+            epsilon = float(manifest.extra[key])
+        except (TypeError, ValueError):
+            epsilon = np.nan
+        if not np.isfinite(epsilon):
+            raise InputError(f"{manifest_path_for(args.sino)}: {key} is not a finite number")
+        return epsilon
     try:
         return float(args.epsilon)
     except ValueError:
@@ -282,7 +280,7 @@ def _solver_config(args, manifest: RunManifest, truth) -> GBiTConfig:
 def cmd_reconstruct(args) -> int:
     sino = read_sinogram(args.sino)
     if sino.k < 2 and args.model != "phase-retrieval":
-        raise ValueError(
+        raise InputError(
             f"{args.sino}: the sinogram has k={sino.k} detectors per angle, and the "
             f"{args.model} difference model needs k >= 2"
         )
@@ -300,7 +298,7 @@ def cmd_reconstruct(args) -> int:
             k=sino.k, angles=uniform_angles(sino.l), h=sino.h,
         )
     except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(
+        raise InputError(
             f"{manifest_path}: config carries no valid grid size n_x, n_y ({exc})"
         ) from exc
 
@@ -317,19 +315,10 @@ def cmd_reconstruct(args) -> int:
         if (truth.n_x, truth.n_y) != (geom.n_x, geom.n_y):
             raise UsageError("--truth grid does not match the sinogram's manifest grid")
         if "truth" in _FLAGS_READ[args.solver] and not truth.values.any():
-            raise ValueError(f"{args.truth}: the ground-truth image is all zero, so the "
+            raise InputError(f"{args.truth}: the ground-truth image is all zero, so the "
                              "error trace relative to it is undefined")
     solver_config = None if args.solver == "fbp" else _solver_config(args, manifest_in, truth)
 
-    config = {
-        "sino": args.sino,
-        "solver": args.solver,
-        "model": args.model,
-        **{name: getattr(args, name) for name in _SOLVER_FLAGS},
-        "truth": args.truth,
-        "n_x": geom.n_x,
-        "n_y": geom.n_y,
-    }
     clock: dict = {}
     with _timed(clock, "build"):
         projector = build_projector(geom)
@@ -337,14 +326,10 @@ def cmd_reconstruct(args) -> int:
     report = None
     extra: dict = {}
     with _timed(clock, "solve"):
-        # phase retrieval undoes the forward difference and inverts the
-        # plain projector; the difference models keep the derivative data
-        if args.model == "phase-retrieval":
-            operator, kind = projector, "ramp"
-            data = invert_forward(sino.values, sino.k, sino.l)
-        else:
-            operator, kind = compose(make_diff(args.model, sino.k, sino.l), projector), "dpc"
-            data = sino.values
+        operator, data, kind = model_system(args.model.replace("-", "_"), sino.values, projector)
+        if not np.isfinite(data).all():  # undoing the difference overflowed
+            raise InputError(f"{args.sino}: the {args.model} right-hand side overflows "
+                             "to inf; the data are too large")
         if args.solver == "fbp":
             profile = Sinogram(k=sino.k, l=sino.l, values=data, h=sino.h)
             image_out = fbp_reconstruct(profile, geom, kind, projector=projector)
@@ -366,11 +351,14 @@ def cmd_reconstruct(args) -> int:
             extra["iterations"] = report.iterations
             if report.records and report.records[-1].rel_error is not None:
                 extra["final_rel_error"] = report.records[-1].rel_error
+        if not np.isfinite(image_out.values).all():
+            raise NumericalFailure(f"{args.solver} produced a non-finite image")
 
     image_path, pgm_path = args.out + ".image.txt", args.out + ".image.pgm"
     report_path = args.out + ".report.csv"
     outputs = [image_path, pgm_path] + ([report_path] if report is not None else [])
-    with _run_outputs(args, config, clock, outputs, extra=extra) as run_id:
+    resolved = {"n_x": geom.n_x, "n_y": geom.n_y}
+    with _run_outputs(args, resolved, clock, outputs, extra=extra) as run_id:
         write_image(image_path, image_out, run_id)
         write_image_pgm(pgm_path, image_out)
         if report is not None:
@@ -390,10 +378,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (OSError, ValueError) as exc:
-        # ValueError here means a malformed input file: the geometry and
-        # solver settings taken from flags are checked, and mapped to
-        # UsageError, before any work starts
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except (NumericalFailure, FloatingPointError) as exc:

@@ -8,7 +8,8 @@ are skipped on read.  The magic line of every file carries the run id of
 the manifest that produced it ('-' for ad-hoc writes).
 
 The exact float format is the one tests and pipelines compare; the
-graymap is max-normalized and lossy by design.
+graymap is max-normalized and lossy by design.  The readers refuse a
+malformed file with ``InputError``, a ``ValueError`` that names it.
 """
 
 from __future__ import annotations
@@ -29,6 +30,11 @@ IMAGE_MAGIC = "DPCTOMO-IMAGE-1"
 SINO_MAGIC = "DPCTOMO-SINO-1"
 
 
+class InputError(ValueError):
+    """An input refused where it enters: a malformed or unusable file,
+    named in the message."""
+
+
 def _fmt(value: float) -> str:
     return format(float(value), ".17g")
 
@@ -37,7 +43,7 @@ def _plain(path, what: str, text: str) -> None:
     """Refuse what Python's number parsers read but the writers never
     write: digit-group underscores and non-ASCII digits or spaces."""
     if not text.isascii() or "_" in text:
-        raise ValueError(f"{path}: {what} must be plain ASCII numerals without '_'")
+        raise InputError(f"{path}: {what} must be plain ASCII numerals without '_'")
 
 
 def _positive(path, name: str, line: str, kind):
@@ -48,7 +54,7 @@ def _positive(path, name: str, line: str, kind):
     except ValueError:
         value = 0
     if not 0 < value < np.inf:
-        raise ValueError(f"{path}: header field {name} must be a positive finite {kind.__name__}, "
+        raise InputError(f"{path}: header field {name} must be a positive finite {kind.__name__}, "
                          f"got {line.strip()!r}")
     return value
 
@@ -61,12 +67,12 @@ def _values(path, text: str, count: int) -> np.ndarray:
         arr = np.array([float(line) for line in text.split("\n") if line.strip()],
                        dtype=np.float64)
     except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+        raise InputError(f"{path}: {exc}") from None
     if arr.size != count:
-        raise ValueError(f"{path}: expected {count} data values, got {arr.size}")
+        raise InputError(f"{path}: expected {count} data values, got {arr.size}")
     bad = np.flatnonzero(~np.isfinite(arr))
     if bad.size:
-        raise ValueError(
+        raise InputError(
             f"{path}: {bad.size} non-finite value(s); data value {bad[0]} is {arr[bad[0]]}"
         )
     return arr
@@ -89,7 +95,7 @@ def read_image(path) -> Image:
     with open(path, errors="surrogateescape") as fh:
         magic = fh.readline().split()
         if not magic or magic[0] != IMAGE_MAGIC:
-            raise ValueError(f"{path}: not an image file (bad magic line)")
+            raise InputError(f"{path}: not an image file (bad magic line)")
         n_x = _positive(path, "n_x", fh.readline(), int)
         n_y = _positive(path, "n_y", fh.readline(), int)
         values = _values(path, fh.read(), n_x * n_y)
@@ -123,14 +129,14 @@ def read_sinogram(path) -> Sinogram:
         header = list(itertools.islice(lines, 5))
         magic = header[0].split() if header else []
         if not magic or magic[0] != SINO_MAGIC:
-            raise ValueError(f"{path}: not a sinogram file (bad magic line)")
+            raise InputError(f"{path}: not a sinogram file (bad magic line)")
         if len(header) < 5:
-            raise ValueError(f"{path}: truncated header ({len(header)} of 5 lines)")
+            raise InputError(f"{path}: truncated header ({len(header)} of 5 lines)")
         _, k, l, h, ordering = header
         k, l = _positive(path, "k", k, int), _positive(path, "l", l, int)
         h, ordering = _positive(path, "h", h, float), ordering.strip()
         if ordering != "ordering=angle-major":
-            raise ValueError(f"{path}: unsupported ordering {ordering!r}")
+            raise InputError(f"{path}: unsupported ordering {ordering!r}")
         values = _values(path, "".join(lines), k * l)
     return Sinogram(k=k, l=l, values=values, h=h)
 
@@ -201,4 +207,4 @@ def read_manifest(path) -> RunManifest:
         try:
             return RunManifest(**json.load(fh))
         except (TypeError, ValueError) as exc:  # not JSON, or not RunManifest's keys
-            raise ValueError(f"{path}: not a run manifest ({exc})") from exc
+            raise InputError(f"{path}: not a run manifest ({exc})") from exc

@@ -7,14 +7,17 @@ the exact operator that produced its data.  Noise is drawn from a seeded
 standard-normal stream, optionally offset by a constant, and rescaled so
 the realized relative perturbation equals the requested level exactly.
 
-The one experiment is the full tomography study.  It solves the composed
-difference-of-projection system for each difference model with an
-unregularized and a regularized arm, and adds the two-step arm that undoes
-the forward difference first and then inverts the plain projection
-operator.  It takes the grid size, the angle count, the seed and the
-solvers' iteration cap; everything else is fixed: the modified
-Shepp-Logan phantom, one detector per grid column, mixing weight 0.2 and
-10 % relative noise.
+``model_system`` is each data model's one recipe, for the CLI and the
+study alike: ``forward`` and ``central`` solve the composed
+difference-of-projection system, and ``phase_retrieval`` undoes the
+forward difference first and then inverts the plain projection operator.
+``realized_epsilon`` is a model's discrepancy target.
+
+The one experiment is the full tomography study, which solves each model
+with an unregularized and a regularized arm.  It takes the grid size,
+the angle count, the seed and the solvers' iteration cap; everything
+else is fixed: the modified Shepp-Logan phantom, one detector per grid
+column, mixing weight 0.2 and 10 % relative noise.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import numpy as np
 
 from .diffops import invert_forward, make_diff
 from .gbit import GBiTConfig, GBiTReport, gbit_solve, lsqr_solve
-from .linops import LinearOperator, as_vector, compose
+from .linops import LinearOperator, compose
 from .projector import (
     Image,
     ProjectionGeometry,
@@ -152,6 +155,21 @@ def phase_retrieval_rhs(b, k: int, l: int) -> np.ndarray:
     return invert_forward(b, k, l)
 
 
+def model_system(model: str, b, projector) -> tuple[LinearOperator, np.ndarray, str]:
+    """(operator, right-hand side, FBP filter kind) of a data model for
+    the measured derivative data ``b``; see the module docstring."""
+    k, l = projector.geometry.k, projector.geometry.l
+    if model == "phase_retrieval":
+        return projector, invert_forward(b, k, l), "ramp"
+    return compose(make_diff(model, k, l), projector), b, "dpc"
+
+
+def realized_epsilon(model: str, noisy, clean, projector) -> float:
+    """The noise norm realized in a model's right-hand side."""
+    rhs = model_system(model, noisy, projector)[1]
+    return float(np.linalg.norm(rhs - model_system(model, clean, projector)[1]))
+
+
 def relative_error(x, x_true) -> float:
     x = np.asarray(x, dtype=np.float64).ravel()
     x_true = np.asarray(x_true, dtype=np.float64).ravel()
@@ -201,48 +219,23 @@ class ExperimentResult:
     arms: dict[str, ReconstructionArm]
 
 
-def _solve_arm(A: LinearOperator, b, truth, epsilon, model, max_iter) -> ReconstructionArm:
-    b = as_vector(b, A.rows, "arm data")
-    x_lsqr, rep_lsqr = lsqr_solve(A, b, iters=max_iter, x_true=truth)
-    config = GBiTConfig(epsilon=epsilon, max_iter=max_iter, x_true=truth)
-    x_gbit, rep_gbit = gbit_solve(A, b, config)
-    return ReconstructionArm(
-        model=model,
-        epsilon=epsilon,
-        b=b,
-        truth=np.asarray(truth, dtype=np.float64),
-        lsqr_solution=x_lsqr,
-        lsqr_report=rep_lsqr,
-        gbit_solution=x_gbit,
-        gbit_report=rep_gbit,
-    )
-
-
 def _run_full_ct(*, size, angles, seed, max_iter) -> dict[str, ReconstructionArm]:
     phantom = make_phantom(PhantomSpec(size=size))
     geom = standard_geometry(size, angles)
     projector = build_projector(geom)
-    b_f_clean, b_c_clean = generate_dpc_data(phantom, geom, ModelErrorSpec(_OMEGA), projector)
+    b_f, b_c = generate_dpc_data(phantom, geom, ModelErrorSpec(_OMEGA), projector)
     noise = NoiseSpec(level=_NOISE, seed=derived_seed(seed, "full_ct"))
-    b_f = add_noise(b_f_clean.values, noise)
-    b_c = add_noise(b_c_clean.values, noise)
-
-    # each arm's discrepancy target is the noise norm realized in its data
-    x_true = phantom.values
-    a_forward = compose(make_diff("forward", geom.k, geom.l), projector)
-    a_central = compose(make_diff("central", geom.k, geom.l), projector)
-    eps_f = float(np.linalg.norm(b_f - b_f_clean.values))
-    eps_c = float(np.linalg.norm(b_c - b_c_clean.values))
-    rhs_pr = invert_forward(b_f, geom.k, geom.l)
-    rhs_pr_clean = invert_forward(b_f_clean.values, geom.k, geom.l)
-    eps_pr = float(np.linalg.norm(rhs_pr - rhs_pr_clean))
-    return {
-        "forward": _solve_arm(a_forward, b_f, x_true, eps_f, "forward", max_iter),
-        "central": _solve_arm(a_central, b_c, x_true, eps_c, "central", max_iter),
-        "phase_retrieval": _solve_arm(
-            projector, rhs_pr, x_true, eps_pr, "phase_retrieval", max_iter
-        ),
-    }
+    truth = phantom.values
+    arms = {}
+    # phase retrieval starts from the forward-model data
+    for model, clean in (("forward", b_f), ("central", b_c), ("phase_retrieval", b_f)):
+        noisy = add_noise(clean.values, noise)
+        A, b, _ = model_system(model, noisy, projector)
+        epsilon = realized_epsilon(model, noisy, clean.values, projector)
+        lsqr = lsqr_solve(A, b, iters=max_iter, x_true=truth)
+        gbit = gbit_solve(A, b, GBiTConfig(epsilon=epsilon, max_iter=max_iter, x_true=truth))
+        arms[model] = ReconstructionArm(model, epsilon, b, truth, *lsqr, *gbit)
+    return arms
 
 
 def run_experiment(name: str, **params) -> ExperimentResult:

@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from dpctomo import cli
 from dpctomo.cli import build_parser
 from dpctomo.diffops import invert_forward, make_diff
 from dpctomo.fbp import fbp_reconstruct
@@ -204,6 +205,13 @@ def with_grid(manifest: dict, n: int) -> dict:
     return {**manifest, "config": {**manifest["config"], "n_x": n, "n_y": n}}
 
 
+def constant_sinogram(path, value: float) -> None:
+    """4 detectors, 2 angles, every value ``value``, on a 4x4 grid."""
+    write_sinogram(path, Sinogram(k=4, l=2, values=np.full(8, value)))
+    write_manifest(manifest_path_for(path),
+                   RunManifest(run_id="-", command=[], config={"n_x": 4, "n_y": 4}))
+
+
 @pytest.fixture(scope="module")
 def pipeline(tmp_path_factory):
     """One phantom + simulate run shared by the reconstruct tests."""
@@ -236,6 +244,15 @@ class TestPhantomCommand:
         result = run_cli("phantom", "--size", 7, "--out", tmp_path / "x.txt")
         assert result.returncode == 2
         assert "size" in result.stderr
+
+    def test_value_error_of_a_package_function_propagates(self, tmp_path, monkeypatch):
+        # exit 3 is for refused inputs only; a defect keeps its traceback
+        def defect(spec):
+            raise ValueError("a defect, not a bad input")
+
+        monkeypatch.setattr(cli, "make_phantom", defect)
+        with pytest.raises(ValueError, match="a defect"):
+            cli.main(["phantom", "--size", "8", "--out", str(tmp_path / "p.txt")])
 
     def test_variants_differ(self, tmp_path):
         a, b = tmp_path / "a.txt", tmp_path / "b.txt"
@@ -661,6 +678,48 @@ class TestReconstructCommand:
         assert str(bad) in result.stderr and "header field h " in result.stderr
         assert not (tmp_path / "rec.image.txt").exists()
 
+    def test_nonfinite_image_is_numerical_failure_writing_nothing(self, tmp_path):
+        # the filter overflows data near the float range to nan, and
+        # read_image would refuse the image
+        for value, model in [(1e308, "forward"), (4e307, "phase-retrieval")]:
+            sino = tmp_path / f"{model}.sino"
+            constant_sinogram(sino, value)
+            result = run_cli(
+                "reconstruct", "--sino", sino, "--solver", "fbp", "--model", model,
+                "--out", tmp_path / "rec",
+            )
+            assert result.returncode == 4, (model, result.stderr)
+            assert "non-finite image" in result.stderr and "Traceback" not in result.stderr
+            assert not list(tmp_path.glob("rec*"))
+
+    def test_overflowing_phase_retrieval_data_is_io_error_naming_the_file(self, tmp_path):
+        # undoing the forward difference sums each block to beyond 1.8e308
+        sino = tmp_path / "huge.sino"
+        constant_sinogram(sino, 1e308)
+        for solver in ("gbit", "lsqr", "fbp"):
+            result = run_cli(
+                "reconstruct", "--sino", sino, "--solver", solver, "--model", "phase-retrieval",
+                "--epsilon", 1, "--out", tmp_path / "rec",
+            )
+            assert result.returncode == 3, (solver, result.stderr)
+            assert str(sino) in result.stderr and "Traceback" not in result.stderr
+            assert not list(tmp_path.glob("rec*"))
+
+    def test_non_numeric_manifest_epsilon_is_io_error_naming_the_file(self, pipeline, tmp_path):
+        _, _, sino_path = pipeline
+        bad = tmp_path / "bad.sino"
+        bad.write_text(sino_path.read_text())
+        manifest = json.loads(Path(manifest_path_for(sino_path)).read_text())
+        for value in ("large", [1.0], float("nan")):
+            manifest["extra"]["epsilon_noise"] = value
+            Path(manifest_path_for(bad)).write_text(json.dumps(manifest))
+            result = run_cli(
+                "reconstruct", "--sino", bad, "--solver", "gbit", "--epsilon", "manifest",
+                "--out", tmp_path / "rec",
+            )
+            assert result.returncode == 3, (value, result.stderr)
+            assert manifest_path_for(bad) in result.stderr and "Traceback" not in result.stderr
+
     def test_lsqr_default_cap_is_the_solver_default(self, pipeline, tmp_path):
         _, _, sino_path = pipeline
         prefix = tmp_path / "rec"
@@ -710,9 +769,24 @@ class TestManifests:
                 "--out", out,
             ],
         }[command]
+        # the run id's input: the echoed flags and the resolved values
+        config = {
+            "phantom": {"size": 8, "variant": "classic"},
+            "simulate": {
+                "phantom": str(phantom_path), "angles": 6, "detectors": 20, "model": "central",
+                "omega": 0.1, "noise": 0.05, "offset": 0.5, "seed": 3,
+                "n_x": 24, "n_y": 24, "h": 1.0,
+            },
+            "reconstruct": {
+                "sino": str(sino_path), "solver": "gbit", "model": "forward", "eta": 1.5,
+                "epsilon": "manifest", "lambda0": 0.5, "maxcounter": 2, "max_iter": 5,
+                "scheme": "classic", "truth": str(phantom_path), "n_x": 24, "n_y": 24,
+            },
+        }[command]
         assert argv[1::2] == option_flags(command)  # every flag, in the parser's order
         result = run_cli(*argv)
         assert result.returncode == 0, result.stderr
         manifest = read_manifest(manifest_path_for(out))
         assert manifest.command == argv
+        assert manifest.config == config
         assert sorted(manifest.wall_clock) == phases

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from dpctomo.diffops import make_diff
+from dpctomo.diffops import DiffOperator, invert_forward, make_diff
 from dpctomo.gbit import lsqr_solve
+from dpctomo.linops import ComposedOperator
 from dpctomo.projector import ProjectionGeometry, build_projector, project
 from dpctomo.simlab import (
     ModelErrorSpec,
@@ -14,7 +15,9 @@ from dpctomo.simlab import (
     derived_seed,
     generate_dpc_data,
     make_phantom,
+    model_system,
     phase_retrieval_rhs,
+    realized_epsilon,
     relative_error,
     run_experiment,
 )
@@ -154,6 +157,38 @@ class TestPhaseRetrievalPath:
         slope = np.polyfit(np.arange(k), drift, 1)[0]
         expected = offset * level * np.linalg.norm(b_clean) / np.linalg.norm(e)
         assert abs(abs(slope) - expected) <= 0.25 * expected
+
+
+class TestModelSystem:
+    def setup_method(self):
+        self.projector = build_projector(ProjectionGeometry(n_x=6, n_y=5, k=7, angles=[0.3, 1.9]))
+        rng = np.random.default_rng(3)
+        self.x, self.b = rng.standard_normal(30), rng.standard_normal(14)
+
+    @pytest.mark.parametrize("model", ["forward", "central"])
+    def test_difference_models_keep_the_data(self, model):
+        operator, rhs, kind = model_system(model, self.b, self.projector)
+        assert isinstance(operator, ComposedOperator) and operator.right is self.projector
+        assert isinstance(operator.left, DiffOperator) and operator.left.scheme == model
+        assert (operator.left.k, operator.left.l) == (7, 2)
+        np.testing.assert_array_equal(
+            operator.apply(self.x), make_diff(model, 7, 2).apply(self.projector.apply(self.x))
+        )
+        assert rhs is self.b and kind == "dpc"
+
+    def test_phase_retrieval_undoes_the_forward_difference(self):
+        operator, rhs, kind = model_system("phase_retrieval", self.b, self.projector)
+        assert operator is self.projector and kind == "ramp"
+        np.testing.assert_array_equal(rhs, invert_forward(self.b, 7, 2))
+
+    def test_realized_epsilon_is_the_noise_norm_in_the_right_hand_side(self):
+        clean = np.linspace(-1.0, 1.0, 14)
+        assert realized_epsilon("central", self.b, clean, self.projector) == float(
+            np.linalg.norm(self.b - clean)
+        )
+        assert realized_epsilon("phase_retrieval", self.b, clean, self.projector) == float(
+            np.linalg.norm(invert_forward(self.b, 7, 2) - invert_forward(clean, 7, 2))
+        )
 
 
 class TestRelativeError:
