@@ -195,7 +195,9 @@ def cmd_simulate(args) -> int:
     )
     with _timed(clock, "build"):
         projector = build_projector(geom)
-    with _timed(clock, "simulate"):
+    # image values near the float range overflow the data or their norms,
+    # which the check below refuses
+    with _timed(clock, "simulate"), np.errstate(over="ignore", invalid="ignore"):
         b_f, b_c = generate_dpc_data(image, geom, ModelErrorSpec(args.omega), projector=projector)
         clean = (b_f if args.model == "forward" else b_c).values
         if args.noise > 0.0 and np.linalg.norm(clean) == 0.0:
@@ -209,6 +211,9 @@ def cmd_simulate(args) -> int:
             extra["epsilon_phase_retrieval"] = realized_epsilon(
                 "phase_retrieval", noisy, clean, projector
             )
+    if not (np.isfinite(noisy).all() and np.isfinite(list(extra.values())).all()):
+        raise InputError(f"{args.phantom}: the simulated {args.model}-model data or their "
+                         "noise norms overflow to inf or nan; the image values are too large")
     resolved = {"n_x": image.n_x, "n_y": image.n_y, "detectors": detectors, "h": geom.h}
     with _run_outputs(args, resolved, clock, [args.out], seed=args.seed, extra=extra) as run_id:
         sino = Sinogram(k=geom.k, l=geom.l, values=noisy, h=geom.h)

@@ -22,10 +22,16 @@ geometries trace one run of angles per worker on a thread pool, into
 the arrays of W that the assembling thread allocates: workers allocate
 nothing larger than one angle's temporaries, because glibc keeps what a
 thread frees in that thread's malloc arena.
+
+Each angle traces only its first ceil(k/2) rays: detector k-1-i sits at
+-t_i and the grid planes are symmetric, so its ray holds ray i's lengths
+at pixels n-1-p, bit for bit, unless a floor rounds onto a grid line; an
+angle with a segment short enough for that traces all k rays.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -67,7 +73,7 @@ class ProjectionGeometry:
             raise ValueError(f"detector spacing h must be positive and finite, got {self.h}")
         if angles.size < 1:
             raise ValueError("need at least one projection angle")
-        if np.any(angles < 0.0) or np.any(angles >= np.pi):
+        if not np.all((angles >= 0.0) & (angles < np.pi)):  # NaN fails too
             raise ValueError("projection angles must lie in [0, pi)")
 
     @property
@@ -130,9 +136,12 @@ class Sinogram:
         return self.values.reshape(self.l, self.k)
 
 
-def _trace_angle(geom: ProjectionGeometry, theta: float, work: np.ndarray):
-    """Sparse weights of one angle: (entries per detector, pixel index,
-    length), detector by detector and along each ray in travel order.
+def _trace_angle(geom: ProjectionGeometry, theta: float, work: np.ndarray, rays: int):
+    """Sparse weights of the first ``rays`` detectors of one angle:
+    (entries per detector, pixel index, length, shortest kept length),
+    detector by detector and along each ray in travel order.  The
+    shortest kept length is taken before the grid bounds checks, over
+    the segments longer than 1e-12; it is inf if there are none.
 
     ``work`` is scratch space of shape (4, k * (n_x + n_y + 4)); reusing
     it across angles spares the page faults of fresh temporaries.
@@ -140,7 +149,7 @@ def _trace_angle(geom: ProjectionGeometry, theta: float, work: np.ndarray):
     nx, ny = geom.n_x, geom.n_y
     x_min, y_min = -0.5 * nx, -0.5 * ny
     cos_t, sin_t = np.cos(theta), np.sin(theta)
-    t = (np.arange(geom.k) - 0.5 * (geom.k - 1)) * geom.h
+    t = (np.arange(rays) - 0.5 * (geom.k - 1)) * geom.h
     p0x, p0y = t * cos_t, t * sin_t
     dx, dy = -sin_t, cos_t
 
@@ -151,10 +160,10 @@ def _trace_angle(geom: ProjectionGeometry, theta: float, work: np.ndarray):
     width = (nx + 1) * (dx != 0.0) + (ny + 1) * (dy != 0.0) + 2
 
     def scratch(i, cols):
-        return work[i, : geom.k * cols].reshape(geom.k, cols)
+        return work[i, : rays * cols].reshape(rays, cols)
 
     alphas = scratch(0, width)
-    enter, leave = np.full(geom.k, -np.inf), np.full(geom.k, np.inf)
+    enter, leave = np.full(rays, -np.inf), np.full(rays, np.inf)
     col = 0
     for p0, d, planes in ((p0x, dx, xplanes), (p0y, dy, yplanes)):
         if d != 0.0:
@@ -194,6 +203,7 @@ def _trace_angle(geom: ProjectionGeometry, theta: float, work: np.ndarray):
     iy = cell(p0y, dy, y_min, mids)
     valid = lengths > 1e-12
     valid &= hit[:, None]
+    shortest = float(np.min(lengths, where=valid, initial=np.inf))
     valid &= ix >= 0
     valid &= ix < nx
     valid &= iy >= 0
@@ -201,7 +211,7 @@ def _trace_angle(geom: ProjectionGeometry, theta: float, work: np.ndarray):
 
     ix *= ny  # pixel index iy + ix * n_y, exact in float64
     ix += iy
-    return np.count_nonzero(valid, axis=1), ix[valid].astype(np.int32), lengths[valid]
+    return np.count_nonzero(valid, axis=1), ix[valid].astype(np.int32), lengths[valid], shortest
 
 
 # Assembly traces one run of angles per worker on a thread pool once the
@@ -211,22 +221,52 @@ def _trace_angle(geom: ProjectionGeometry, theta: float, work: np.ndarray):
 _WORK_PER_WORKER = 2_000_000
 
 
+# A kept segment of length L has its midpoint L * min(|sin|, |cos|) / 2 or
+# more from every grid line, and cell coordinates err by a few ulps of the
+# grid's half width (about 1e-13 at 256^2), so a floor can only go astray
+# where L * min(|sin|, |cos|) is below
+_MIRROR_MARGIN = 2e-9
+
+
 def _trace_block(geom: ProjectionGeometry, angles: np.ndarray, indices, data) -> np.ndarray:
     """Trace a run of consecutive angles into the caller's arrays and
     return the number of entries of each ray.
 
     ``indices`` and ``data`` receive the entries ray after ray, each ray's
-    in travel order; they must hold the ``k * (n_x + n_y + 3)`` entries
-    per angle that a tracing can emit.
+    in travel order or its reverse; they must hold the
+    ``k * (n_x + n_y + 3)`` entries per angle that a tracing can emit.
+
+    Each angle traces its first ceil(k/2) rays.  t_{k-1-i} = -t_i and the
+    grid planes are symmetric, so ray k-1-i's crossing parameters, clip,
+    sort, lengths and cell coordinates are ray i's negated, bit for bit:
+    it holds ray i's lengths at pixels n-1-p, in reverse order.  Only a
+    floor of a cell coordinate rounded onto a grid line can break this,
+    inside a kept segment shorter than ``_MIRROR_MARGIN / min(|sin|,
+    |cos|)``; an angle with one traces all k rays.  In the uniform 64^2
+    to 256^2 geometries that is 0 and the float nearest pi/2, but a rule
+    on theta alone would miss 1e-10, 1e-8 and pi/2 - 1e-9 with k = 7 on
+    8^2 or k = 31 on 32^2.
     """
     work = np.empty((4, geom.k * (geom.n_x + geom.n_y + 4)))
+    traced, mirrored, last = (geom.k + 1) // 2, geom.k // 2, geom.n - 1
     per_ray, end = [], 0
     for theta in angles:
-        counts, pix_idx, w = _trace_angle(geom, float(theta), work)
+        theta = float(theta)
+        counts, pix_idx, w, shortest = _trace_angle(geom, theta, work, traced)
+        axis = min(abs(math.sin(theta)), abs(math.cos(theta)))
+        if shortest * axis < _MIRROR_MARGIN:  # no kept segment: inf * 0 is nan
+            counts, pix_idx, w, _ = _trace_angle(geom, theta, work, geom.k)
         indices[end : end + w.size] = pix_idx
         data[end : end + w.size] = w
         per_ray.append(counts)
         end += w.size
+        if counts.size < geom.k:
+            # rays mirrored-1 .. 0, each reversed: one reversal of their entries
+            size = int(counts[:mirrored].sum())
+            indices[end : end + size] = last - pix_idx[:size][::-1]
+            data[end : end + size] = w[:size][::-1]
+            per_ray.append(counts[:mirrored][::-1])
+            end += size
     return np.concatenate(per_ray)
 
 

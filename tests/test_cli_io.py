@@ -383,6 +383,22 @@ class TestSimulateCommand:
             )
             assert result.returncode == 0, (name, result.stderr)
 
+    def test_overflowing_data_is_io_error_naming_the_phantom(self, tmp_path):
+        # reconstruct refuses a sinogram of inf values: the noise norm of
+        # 1e300 data overflows, and 1e308 values overflow when projected
+        for value, noise in [(1e300, 0.05), (1e308, 0.0)]:
+            phantom_path = tmp_path / f"{value:g}.txt"
+            write_image(phantom_path, Image(n_x=8, n_y=8, values=np.full(64, value)), "-")
+            sino_path = tmp_path / f"{value:g}.sino"
+            result = run_cli(
+                "simulate", "--phantom", phantom_path, "--angles", 4, "--noise", noise,
+                "--out", sino_path,
+            )
+            assert result.returncode == 3, (value, result.stderr)
+            assert str(phantom_path) in result.stderr and "overflow" in result.stderr, value
+            assert "Traceback" not in result.stderr and "Warning" not in result.stderr, value
+            assert not list(tmp_path.glob("*.sino*")), value
+
     def test_malformed_phantom_is_io_error(self, tmp_path):
         cases = {
             "bad_value": "DPCTOMO-IMAGE-1 -\n2\n2\n1.0\nnot-a-number\n0\n0\n",

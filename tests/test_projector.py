@@ -73,7 +73,7 @@ def reference_assembly(geom):
     work = np.empty((4, geom.k * (geom.n_x + geom.n_y + 4)))
     rows, cols, vals = [], [], []
     for a, theta in enumerate(geom.angles):
-        per_ray, pixels, lengths = _trace_angle(geom, float(theta), work)
+        per_ray, pixels, lengths, _ = _trace_angle(geom, float(theta), work, geom.k)
         rows.append(np.repeat(np.arange(geom.k, dtype=np.int64) + a * geom.k, per_ray))
         cols.append(pixels.astype(np.int64))
         vals.append(lengths)
@@ -110,6 +110,15 @@ ASSEMBLY_GEOMETRIES = {
     # the benchmark's study size: runs of 45 or 30 angles at 2 or 3
     # workers, one angle exactly pi/2
     "study_64": standard_geometry(64, 90),
+    # near an axis, a cell coordinate can round onto a grid line on one
+    # side of the detector reflection only: these angles must be traced
+    # in full, though none is 0 or the float nearest pi/2
+    "near_axis_8": ProjectionGeometry(
+        n_x=8, n_y=8, k=7, angles=[1e-10, 1e-8, np.pi / 2.0 - 1e-9, 0.3]
+    ),
+    "near_axis_32": ProjectionGeometry(
+        n_x=32, n_y=32, k=31, angles=[1e-10, 1e-8, np.pi / 2.0 - 1e-9, 0.3]
+    ),
 }
 
 
@@ -237,6 +246,29 @@ print(resident_mb() - before)
         assert_same_arrays(weights_t, ref_t)
 
 
+class TestDetectorReflection:
+    """Ray k-1-i is ray i reflected through the origin: assembly traces
+    half of each angle's rays and writes the other half from them."""
+
+    @pytest.mark.parametrize("geom", [
+        standard_geometry(16, 1),
+        ProjectionGeometry(n_x=13, n_y=7, k=11, angles=[0.0]),
+        ProjectionGeometry(n_x=9, n_y=11, k=14, angles=[0.0], h=1.3),
+        ProjectionGeometry(n_x=8, n_y=8, k=16, angles=[0.0], h=0.5),
+    ])
+    @pytest.mark.parametrize("theta", [0.3, 1.1, 2.0, 3.0 * np.pi / 4.0])
+    def test_mirrored_ray_holds_reflected_entries_bit_for_bit(self, geom, theta):
+        work = np.empty((4, geom.k * (geom.n_x + geom.n_y + 4)))
+        per_ray, pixels, lengths, _ = _trace_angle(geom, theta, work, geom.k)
+        assert pixels.size > 0
+        bounds = np.cumsum(per_ray)[:-1]
+        rays = list(zip(np.split(pixels, bounds), np.split(lengths, bounds)))
+        for i, (pixels, lengths) in enumerate(rays):
+            mirror_pixels, mirror_lengths = rays[geom.k - 1 - i]
+            assert np.array_equal(mirror_pixels, geom.n - 1 - pixels[::-1]), i
+            assert mirror_lengths.tobytes() == lengths[::-1].tobytes(), i
+
+
 class TestSingleRays:
     def test_single_pixel_axis_aligned(self):
         geom = ProjectionGeometry(n_x=1, n_y=1, k=1, angles=[0.0])
@@ -330,15 +362,16 @@ class TestGeometricInvariants:
         masses = sino.as_blocks().sum(axis=1)
         assert np.abs(masses - masses.mean()).max() <= 0.01 * masses.mean()
 
-    @pytest.mark.parametrize("n, l", [(16, 8), (17, 12), (64, 180)])
+    @pytest.mark.parametrize("n, l", [(16, 8), (17, 12), (64, 90), (64, 180)])
     def test_quarter_turn_and_mirror_symmetry(self, n, l):
-        # On a square, centred geometry with k = n and l % 4 == 0, angle
+        # On a square, centred geometry with k = n and an even l, angle
         # j + l/2 traces angle j on the grid turned a quarter clockwise,
         # and angle l/2 - j traces it on the transposed grid: one quarter
         # of the angle blocks determines the others.  The tolerance is
         # rounding: 1 degree off an axis, the crossings with the planes
         # the rays nearly follow lose digits (2.7e-13 of the block maximum
-        # at 64^2 x 180 for the pair 89 and 179 degrees, 1e-14 elsewhere).
+        # at 64^2 x 180 for the pair 89 and 179 degrees, 1.1e-13 at
+        # 64^2 x 90, 1e-14 elsewhere).
         geom = standard_geometry(n, l)
         weights = build_projector(geom)._weights_t.T.tocsr()
         grid = np.arange(geom.n).reshape(n, n, order="F")  # [iy, ix] -> pixel index
@@ -462,6 +495,8 @@ class TestDataTypes:
             ProjectionGeometry(n_x=4, n_y=4, k=4, angles=[np.pi])
         with pytest.raises(ValueError):
             ProjectionGeometry(n_x=4, n_y=4, k=4, angles=[-0.1])
+        with pytest.raises(ValueError, match="projection angles"):
+            ProjectionGeometry(n_x=8, n_y=8, k=8, angles=[np.nan, 0.5])
         with pytest.raises(ValueError):
             ProjectionGeometry(n_x=4, n_y=4, k=0, angles=[0.0])
         with pytest.raises(ValueError):
