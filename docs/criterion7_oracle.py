@@ -13,9 +13,9 @@ Rebuilds criterion 7's problem (64x64 Shepp-Logan phantom, 90 angles,
   first with residual <= eta * epsilon) and of the best LSQR iterate,
   which is chosen with the truth in hand;
 * GBiT's final error, the weight its returned iterate was solved with
-  (``records[-2].lam``) and the weight recorded on the last
-  ``IterationRecord`` (the next one), each checked by rerunning the same
-  number of iterations with that weight fixed.
+  (``records[-1].lam_used``) and the next weight recorded on the last
+  ``IterationRecord`` (``records[-1].lam``), each checked by rerunning
+  the same number of iterations with that weight fixed.
 
 Run from the repository root::
 
@@ -135,7 +135,7 @@ def main():
             config = GBiTConfig(eta=ETA, epsilon=eps, max_iter=200, x_true=truth)
             x_gbit, rep = gbit_solve(a_op, b, config)
             gbit = rep.final_rel_error
-            lam_used = rep.records[-2].lam if rep.iterations > 1 else config.lambda0
+            lam_used = rep.records[-1].lam_used
             lam_rec = rep.final_lambda
             gaps = []
             for lam in (lam_used, lam_rec):
@@ -157,7 +157,8 @@ def main():
         "least-squares residual floor.\nlam_dp, tik_dp: full-space Tikhonov at the discrepancy "
         f"root (residual = {ETA} eps); lam_opt, tik_opt: best fixed weight, chosen with the truth."
         "\nit_dp, lsqr_dp: first LSQR iterate with residual <= eta eps; it_min, lsqr_min: best "
-        "LSQR iterate, chosen with the truth (iterations counted from 1).\nlam_used: records[-2].lam; "
+        "LSQR iterate, chosen with the truth (iterations counted from 1).\nlam_used: "
+        "records[-1].lam_used; "
         "lam_rec: records[-1].lam; d_used, d_rec: relative gap between GBiT's iterate and a "
         "fixed-weight run at that weight.\n/lsqr_dp, /lsqr_min: GBiT's error over lsqr_dp and lsqr_min."
     )

@@ -319,9 +319,12 @@ def cmd_reconstruct(args) -> int:
         truth = read_image(args.truth)
         if (truth.n_x, truth.n_y) != (geom.n_x, geom.n_y):
             raise UsageError("--truth grid does not match the sinogram's manifest grid")
-        if "truth" in _FLAGS_READ[args.solver] and not truth.values.any():
-            raise InputError(f"{args.truth}: the ground-truth image is all zero, so the "
-                             "error trace relative to it is undefined")
+        if "truth" in _FLAGS_READ[args.solver]:
+            with np.errstate(over="ignore"):
+                norm = np.linalg.norm(truth.values)
+            if norm == 0.0 or np.isinf(norm):
+                raise InputError(f"{args.truth}: the ground-truth image's norm is {norm:g}, "
+                                 "so the error trace relative to it is undefined")
     solver_config = None if args.solver == "fbp" else _solver_config(args, manifest_in, truth)
 
     clock: dict = {}
@@ -332,9 +335,12 @@ def cmd_reconstruct(args) -> int:
     extra: dict = {}
     with _timed(clock, "solve"):
         operator, data, kind = model_system(args.model.replace("-", "_"), sino.values, projector)
-        if not np.isfinite(data).all():  # undoing the difference overflowed
-            raise InputError(f"{args.sino}: the {args.model} right-hand side overflows "
-                             "to inf; the data are too large")
+        with np.errstate(over="ignore"):
+            norm = np.linalg.norm(data)
+        # undoing the difference can overflow; the Krylov solvers need a finite norm too
+        if not np.isfinite(data).all() or args.solver != "fbp" and np.isinf(norm):
+            raise InputError(f"{args.sino}: the {args.model} right-hand side or its norm "
+                             "overflows to inf; the data are too large")
         if args.solver == "fbp":
             profile = Sinogram(k=sino.k, l=sino.l, values=data, h=sino.h)
             image_out = fbp_reconstruct(profile, geom, kind, projector=projector)

@@ -457,14 +457,19 @@ def gbit_solve(A: LinearOperator, b, config: GBiTConfig):
     projected problem, since the secant update needs no new columns; the
     ``fixed`` scheme returns at once because its iterate can no longer
     change.  A run that ends with the subspace exhausted and the stop rule
-    unmet reports ``breakdown``.  A non-finite ``b`` or ``x_true`` raises
-    ValueError; a zero ``b`` returns the zero vector with no iterations.
+    unmet reports ``breakdown``.  A ``b`` or ``x_true`` that holds NaN or
+    inf, or whose norm overflows, raises ValueError; a zero ``b`` returns
+    the zero vector with no iterations.
     """
     b = as_vector(b, A.rows, "right-hand side")
     x_true = None if config.x_true is None else as_vector(config.x_true, A.cols, "ground truth")
     for name, vector in (("right-hand side b", b), ("ground truth x_true", x_true)):
-        if vector is not None and not np.isfinite(vector).all():
-            raise ValueError(f"{name} holds NaN or inf")
+        if vector is None:
+            continue
+        with np.errstate(over="ignore"):
+            norm = np.linalg.norm(vector)
+        if not np.isfinite(norm):
+            raise ValueError(f"{name} holds NaN or inf, or its norm overflows to inf")
     if x_true is not None:
         true_norm = float(np.linalg.norm(x_true))
         if true_norm == 0.0:
@@ -476,6 +481,7 @@ def gbit_solve(A: LinearOperator, b, config: GBiTConfig):
         return np.zeros(A.cols), GBiTReport(records, "discrepancy_met", dec.breakdown)
     qr = BidiagQR(dec.r0_norm)
 
+    fixed = config.update_scheme == "fixed"
     lam = float(config.lambda0)
     phi0_prev = dec.r0_norm
     counter = 0
@@ -489,13 +495,9 @@ def gbit_solve(A: LinearOperator, b, config: GBiTConfig):
         k = min(it, dec.k)
         seen = dec.k < it or (dec.k == it and dec.breakdown == "beta")
         breakdown = dec.breakdown if seen else None
-        if k == 0:
-            termination = "breakdown"
-            break
-        if config.update_scheme == "fixed" and k < it:
-            # this step added no column (alpha breakdown) and the weight is
-            # pinned, so the iterate cannot change; adaptive schemes instead
-            # keep refining the weight on the frozen decomposition below
+        if k == 0 or fixed and k < it:
+            # no column yet, or none added with the weight pinned: the iterate
+            # cannot change (adaptive schemes keep refining the weight)
             termination = "breakdown"
             break
         alphas, betas = dec.alphas[:k], dec.betas[:k]
@@ -505,12 +507,14 @@ def gbit_solve(A: LinearOperator, b, config: GBiTConfig):
             y_lam, phi_lam = y0, phi0
         else:
             y_lam, phi_lam = solve_tikhonov_subproblem(alphas, betas, dec.r0_norm, lam)
-        if config.update_scheme == "classic":
-            lam_next = secant_update(lam, phi0, phi_lam, config.eta * config.epsilon)
-        elif config.update_scheme == "alternative":
-            lam_next = secant_update(lam, phi0, phi_lam, config.eta * phi0_prev)
+        if fixed:
+            lam_next, stop = lam, 0.0  # no residual norm is below zero: no stop
         else:
-            lam_next = lam
+            if config.update_scheme == "classic":
+                target = stop = config.eta * config.epsilon
+            else:  # alternative
+                target, stop = config.eta * phi0_prev, 1.01 * config.eta * phi0_prev
+            lam_next = secant_update(lam, phi0, phi_lam, target)
         _require_finite(phi0=phi0, phi_lambda=phi_lam, lam=lam_next)
         y_current = y_lam
 
@@ -524,20 +528,11 @@ def gbit_solve(A: LinearOperator, b, config: GBiTConfig):
                 residual = float(np.linalg.norm(b - A.apply(x_it)))
         records.append(IterationRecord(it, phi0, phi_lam, lam_next, lam, rel_error, residual))
 
-        if config.update_scheme == "classic":
-            met = phi_lam < config.eta * config.epsilon
-        elif config.update_scheme == "alternative":
-            met = phi_lam < 1.01 * config.eta * phi0_prev
-        else:
-            met = False
-        if met:
+        if phi_lam < stop:
             counter += 1
             if counter > config.maxcounter:
                 termination = "discrepancy_met"
                 break
-        if breakdown is not None and config.update_scheme == "fixed":
-            termination = "breakdown"
-            break
         lam = lam_next
         phi0_prev = phi0
     else:

@@ -665,19 +665,23 @@ class TestReconstructCommand:
         )
         assert result.returncode == 0, result.stderr
 
-    def test_all_zero_truth_is_io_error_naming_the_file(self, pipeline, tmp_path):
-        # the error trace is relative to the truth's norm
+    def test_truth_whose_norm_is_zero_or_inf_is_io_error_naming_the_file(self, pipeline, tmp_path):
+        # the error trace is relative to the truth's norm, which is zero for
+        # an all-zero image, underflows to zero for 1e-200 pixels and
+        # overflows to inf for 1e300 pixels
         _, _, sino_path = pipeline
-        zero = tmp_path / "zero.txt"
-        write_image(zero, Image(n_x=24, n_y=24, values=np.zeros(576)), "-")
-        for solver in ("gbit", "lsqr"):
-            result = run_cli(
-                "reconstruct", "--sino", sino_path, "--solver", solver, "--epsilon", "manifest",
-                "--max-iter", 5, "--truth", zero, "--out", tmp_path / "rec",
-            )
-            assert result.returncode == 3, (solver, result.stderr)
-            assert str(zero) in result.stderr and "Traceback" not in result.stderr
-            assert not (tmp_path / "rec.image.txt").exists()
+        for value in (0.0, 1e-200, 1e300):
+            truth = tmp_path / f"{value:g}.txt"
+            write_image(truth, Image(n_x=24, n_y=24, values=np.full(576, value)), "-")
+            for solver in ("gbit", "lsqr"):
+                result = run_cli(
+                    "reconstruct", "--sino", sino_path, "--solver", solver, "--epsilon",
+                    "manifest", "--max-iter", 5, "--truth", truth, "--out", tmp_path / "rec",
+                )
+                assert result.returncode == 3, (value, solver, result.stderr)
+                assert str(truth) in result.stderr and "Traceback" not in result.stderr
+                assert "Warning" not in result.stderr, (value, solver)
+                assert not (tmp_path / "rec.image.txt").exists()
 
     @pytest.mark.parametrize("h", ["nan", "inf"])
     def test_fbp_refuses_nonfinite_spacing(self, pipeline, tmp_path, h):
@@ -720,6 +724,28 @@ class TestReconstructCommand:
             assert result.returncode == 3, (solver, result.stderr)
             assert str(sino) in result.stderr and "Traceback" not in result.stderr
             assert not list(tmp_path.glob("rec*"))
+
+    def test_data_whose_norm_overflows_is_io_error_for_the_krylov_solvers(self, tmp_path):
+        # the sinogram's values are finite (near 1e301) but its norm is not;
+        # fbp never takes that norm and reconstructs it
+        phantom = tmp_path / "huge.txt"
+        write_image(phantom, Image(n_x=8, n_y=8, values=np.full(64, 1e300)), "-")
+        sino = tmp_path / "huge.sino"
+        result = run_cli("simulate", "--phantom", phantom, "--angles", 4, "--noise", 0,
+                         "--out", sino)
+        assert result.returncode == 0, result.stderr
+        for solver in ("gbit", "lsqr"):
+            result = run_cli(
+                "reconstruct", "--sino", sino, "--solver", solver, "--epsilon", 1e290,
+                "--out", tmp_path / "rec",
+            )
+            assert result.returncode == 3, (solver, result.stderr)
+            assert str(sino) in result.stderr and "Traceback" not in result.stderr
+            assert "Warning" not in result.stderr, solver
+            assert not list(tmp_path.glob("rec*"))
+        result = run_cli("reconstruct", "--sino", sino, "--solver", "fbp",
+                         "--out", tmp_path / "rec")
+        assert result.returncode == 0, result.stderr
 
     def test_non_numeric_manifest_epsilon_is_io_error_naming_the_file(self, pipeline, tmp_path):
         _, _, sino_path = pipeline

@@ -412,6 +412,42 @@ class TestGBiTSolve:
         assert report.termination in ("discrepancy_met", "max_iter")
         assert all(r.lam > 0.0 for r in report.records)
 
+    @pytest.mark.parametrize("maxcounter", [1, 3])
+    @pytest.mark.parametrize("scheme", ["classic", "alternative"])
+    def test_each_scheme_replays_from_its_trace(self, scheme, maxcounter):
+        # every record's next weight is the secant step toward the scheme's
+        # target, bit for bit, and the run stops on the (maxcounter + 1)-th
+        # record whose regularized residual passes the scheme's threshold;
+        # on these data an alternative run passes one record only by the
+        # threshold's 1.01 margin over the target
+        rng = np.random.default_rng(6)
+        a = rng.standard_normal((60, 30))
+        u, s, vt = np.linalg.svd(a, full_matrices=False)
+        a = (u * (s * np.exp(-np.arange(30) / 4.0))) @ vt
+        b_clean = a @ vt[:4].sum(axis=0)
+        e = rng.standard_normal(60)
+        b = b_clean + 0.05 * np.linalg.norm(b_clean) / np.linalg.norm(e) * e
+        eps = np.linalg.norm(b - b_clean) if scheme == "classic" else None
+        config = GBiTConfig(
+            epsilon=eps, lambda0=0.1, max_iter=60, maxcounter=maxcounter, update_scheme=scheme
+        )
+        _, report = gbit_solve(MatrixOperator(a), b, config)
+        phi0_prev = np.linalg.norm(b)
+        passed, by_margin = [], []
+        for rec in report.records:
+            if scheme == "classic":
+                target = stop = config.eta * eps
+            else:
+                target, stop = config.eta * phi0_prev, 1.01 * config.eta * phi0_prev
+            assert rec.lam == secant_update(rec.lam_used, rec.phi0, rec.phi_lambda, target)
+            passed.append(rec.phi_lambda < stop)
+            by_margin.append(target <= rec.phi_lambda < stop)
+            phi0_prev = rec.phi0
+        assert report.termination == "discrepancy_met"
+        assert passed[-1] and sum(passed) == maxcounter + 1
+        assert not all(passed)
+        assert any(by_margin) == (scheme == "alternative")
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             GBiTConfig(eta=0.9, epsilon=1.0)
@@ -452,7 +488,8 @@ class TestGBiTSolve:
         assert report.termination == termination
         assert report.iterations == iterations
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    # 1e300 is finite, but the vector's norm overflows
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e300])
     @pytest.mark.parametrize("where", ["right-hand side b", "ground truth x_true"])
     def test_nonfinite_data_rejected_naming_it(self, where, bad):
         vectors = {"b": np.ones(4), "x_true": np.ones(3)}
