@@ -126,7 +126,8 @@ def main():
             res_opt = oracle.residual(beta, floor, lam_opt)
 
             _, rep_lsqr = lsqr_solve(a_op, b, iters=LSQR_ITERS, x_true=truth)
-            errors, residuals = rep_lsqr.rel_errors, rep_lsqr.phi0s
+            errors = rep_lsqr.rel_errors
+            residuals = np.array([r.phi0 for r in rep_lsqr.records])
             reached = np.flatnonzero(residuals <= target)
             it_dp = int(reached[0]) if reached.size else None
             lsqr_dp = errors[it_dp] if reached.size else np.nan
@@ -134,9 +135,9 @@ def main():
 
             config = GBiTConfig(eta=ETA, epsilon=eps, max_iter=200, x_true=truth)
             x_gbit, rep = gbit_solve(a_op, b, config)
-            gbit = rep.final_rel_error
+            gbit = rep.records[-1].rel_error
             lam_used = rep.records[-1].lam_used
-            lam_rec = rep.final_lambda
+            lam_rec = rep.records[-1].lam
             gaps = []
             for lam in (lam_used, lam_rec):
                 fixed = GBiTConfig(update_scheme="fixed", lambda0=lam, max_iter=rep.iterations)

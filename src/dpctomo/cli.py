@@ -315,16 +315,15 @@ def cmd_reconstruct(args) -> int:
         print(f"warning: {args.solver} ignores the flags {', '.join(ignored)}", file=sys.stderr)
 
     truth = None
-    if args.truth is not None:
+    if args.truth is not None and "truth" in _FLAGS_READ[args.solver]:
         truth = read_image(args.truth)
         if (truth.n_x, truth.n_y) != (geom.n_x, geom.n_y):
             raise UsageError("--truth grid does not match the sinogram's manifest grid")
-        if "truth" in _FLAGS_READ[args.solver]:
-            with np.errstate(over="ignore"):
-                norm = np.linalg.norm(truth.values)
-            if norm == 0.0 or np.isinf(norm):
-                raise InputError(f"{args.truth}: the ground-truth image's norm is {norm:g}, "
-                                 "so the error trace relative to it is undefined")
+        with np.errstate(over="ignore"):
+            norm = np.linalg.norm(truth.values)
+        if norm == 0.0 or np.isinf(norm):
+            raise InputError(f"{args.truth}: the ground-truth image's norm is {norm:g}, "
+                             "so the error trace relative to it is undefined")
     solver_config = None if args.solver == "fbp" else _solver_config(args, manifest_in, truth)
 
     clock: dict = {}

@@ -176,12 +176,12 @@ def test_criterion_07_discrepancy_termination_and_quality(desk):
     elapsed = time.perf_counter() - start
     target = config.eta * eps
     # the LSQR iterate the discrepancy rule selects: the first to reach the target
-    reached = np.flatnonzero(rep_lsqr.phi0s <= target)
+    reached = np.flatnonzero([r.phi0 <= target for r in rep_lsqr.records])
     if reached.size == 0:
         report(7, False, f"no LSQR iterate reached the discrepancy target {target:.4f}")
     lsqr_stopped = float(rep_lsqr.rel_errors[reached[0]])
     lsqr_min = float(np.nanmin(rep_lsqr.rel_errors))
-    final = rep_gbit.final_rel_error
+    final = rep_gbit.records[-1].rel_error
     terminated = rep_gbit.termination == "discrepancy_met" and rep_gbit.iterations <= 200
     quality = final <= 1.1 * lsqr_stopped
     ok = terminated and quality and elapsed < 60.0
@@ -204,7 +204,7 @@ def test_criterion_08_forward_beats_central(desk):
             b, eps = desk_noisy(desk, model, seed)
             config = GBiTConfig(eta=1.01, epsilon=eps, max_iter=200, x_true=truth)
             _, rep = gbit_solve(desk[f"a_{model}"], b, config)
-            finals[model] = rep.final_rel_error
+            finals[model] = rep.records[-1].rel_error
         wins.append(finals["forward"] < finals["central"])
     ok = all(wins)
     report(8, ok, f"forward < central in {sum(wins)}/5 seeds")
@@ -246,7 +246,7 @@ def test_criterion_10_phase_retrieval_path(desk):
         eps_pr = np.linalg.norm(rhs - rhs_clean)
         config_pr = GBiTConfig(eta=1.01, epsilon=eps_pr, max_iter=200)
         _, rep_pr = gbit_solve(desk["projector"], rhs, config_pr)
-        wins.append(rep_pr.final_lambda > rep_direct.final_lambda)
+        wins.append(rep_pr.records[-1].lam > rep_direct.records[-1].lam)
     ok = exactness <= 1e-12 and all(wins)
     report(
         10,

@@ -581,13 +581,23 @@ class TestReconstructCommand:
 
     def test_fbp_warns_that_it_ignores_the_truth(self, pipeline, tmp_path):
         _, phantom_path, sino_path = pipeline
-        result = run_cli(
-            "reconstruct", "--sino", sino_path, "--solver", "fbp",
-            "--truth", phantom_path, "--out", tmp_path / "fbp",
-        )
-        assert result.returncode == 0, result.stderr
-        (warning,) = [line for line in result.stderr.splitlines() if "warning" in line]
-        assert "--truth" in warning
+        malformed = tmp_path / "malformed.txt"
+        malformed.write_text("not an image\n")
+        images = []
+        # fbp never opens the truth: a missing or malformed file changes nothing
+        for name, truth in (("real", phantom_path), ("missing", tmp_path / "missing.txt"),
+                            ("malformed", malformed)):
+            result = run_cli(
+                "reconstruct", "--sino", sino_path, "--solver", "fbp",
+                "--truth", truth, "--out", tmp_path / name,
+            )
+            assert result.returncode == 0, result.stderr
+            (warning,) = [line for line in result.stderr.splitlines() if "warning" in line]
+            assert "--truth" in warning
+            # the header line carries the run id, which hashes the --truth path
+            text = (tmp_path / f"{name}.image.txt").read_text().splitlines()[1:]
+            images.append((text, (tmp_path / f"{name}.image.pgm").read_bytes()))
+        assert images[0] == images[1] == images[2]
 
     def test_lsqr_warns_once_on_the_flags_it_does_not_read(self, pipeline, tmp_path):
         _, _, sino_path = pipeline
