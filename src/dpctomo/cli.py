@@ -40,7 +40,15 @@ from .fileio import (
     write_sinogram,
 )
 from .gbit import GBiTConfig, gbit_solve, lsqr_solve
-from .projector import Image, ProjectionGeometry, Sinogram, build_projector, uniform_angles
+from .linops import scaled_norm
+from .projector import (
+    Image,
+    ProjectionGeometry,
+    RayMajorProjector,
+    Sinogram,
+    build_projector,
+    uniform_angles,
+)
 from .simlab import (
     ModelErrorSpec,
     NoiseSpec,
@@ -194,13 +202,13 @@ def cmd_simulate(args) -> int:
         n_x=image.n_x, n_y=image.n_y, k=detectors, angles=uniform_angles(args.angles)
     )
     with _timed(clock, "build"):
-        projector = build_projector(geom)
+        projector = RayMajorProjector(geom)  # one forward product
     # image values near the float range overflow the data or their norms,
     # which the check below refuses
     with _timed(clock, "simulate"), np.errstate(over="ignore", invalid="ignore"):
         b_f, b_c = generate_dpc_data(image, geom, ModelErrorSpec(args.omega), projector=projector)
         clean = (b_f if args.model == "forward" else b_c).values
-        if args.noise > 0.0 and np.linalg.norm(clean) == 0.0:
+        if args.noise > 0.0 and not np.any(clean):
             raise InputError(
                 f"{args.phantom}: the image's {args.model}-model data are all zero, "
                 "which relative noise cannot scale to; pass --noise 0"
@@ -308,19 +316,19 @@ def cmd_reconstruct(args) -> int:
         ) from exc
 
     ignored = [
-        _flag(n) for n in (*_SOLVER_FLAGS, "truth")
+        n for n in (*_SOLVER_FLAGS, "truth")
         if n not in _FLAGS_READ[args.solver] and getattr(args, n) is not None
     ]
     if ignored:
-        print(f"warning: {args.solver} ignores the flags {', '.join(ignored)}", file=sys.stderr)
+        print(f"warning: {args.solver} ignores the flags {', '.join(map(_flag, ignored))}",
+              file=sys.stderr)
 
     truth = None
-    if args.truth is not None and "truth" in _FLAGS_READ[args.solver]:
+    if args.truth is not None and "truth" not in ignored:
         truth = read_image(args.truth)
         if (truth.n_x, truth.n_y) != (geom.n_x, geom.n_y):
             raise UsageError("--truth grid does not match the sinogram's manifest grid")
-        with np.errstate(over="ignore"):
-            norm = np.linalg.norm(truth.values)
+        norm = scaled_norm(truth.values)
         if norm == 0.0 or np.isinf(norm):
             raise InputError(f"{args.truth}: the ground-truth image's norm is {norm:g}, "
                              "so the error trace relative to it is undefined")
@@ -328,16 +336,15 @@ def cmd_reconstruct(args) -> int:
 
     clock: dict = {}
     with _timed(clock, "build"):
-        projector = build_projector(geom)
+        # fbp makes one adjoint product; the Krylov solvers make many
+        projector = RayMajorProjector(geom) if args.solver == "fbp" else build_projector(geom)
 
     report = None
     extra: dict = {}
     with _timed(clock, "solve"):
         operator, data, kind = model_system(args.model.replace("-", "_"), sino.values, projector)
-        with np.errstate(over="ignore"):
-            norm = np.linalg.norm(data)
         # undoing the difference can overflow; the Krylov solvers need a finite norm too
-        if not np.isfinite(data).all() or args.solver != "fbp" and np.isinf(norm):
+        if not np.isfinite(data).all() or args.solver != "fbp" and np.isinf(scaled_norm(data)):
             raise InputError(f"{args.sino}: the {args.model} right-hand side or its norm "
                              "overflows to inf; the data are too large")
         if args.solver == "fbp":
@@ -367,7 +374,9 @@ def cmd_reconstruct(args) -> int:
     image_path, pgm_path = args.out + ".image.txt", args.out + ".image.pgm"
     report_path = args.out + ".report.csv"
     outputs = [image_path, pgm_path] + ([report_path] if report is not None else [])
-    resolved = {"n_x": geom.n_x, "n_y": geom.n_y}
+    # an ignored flag is recorded as unset, so the run id and the files'
+    # bytes depend only on what the solver read
+    resolved = {"n_x": geom.n_x, "n_y": geom.n_y, **dict.fromkeys(ignored)}
     with _run_outputs(args, resolved, clock, outputs, extra=extra) as run_id:
         write_image(image_path, image_out, run_id)
         write_image_pgm(pgm_path, image_out)

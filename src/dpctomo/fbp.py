@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .projector import Image, ParallelProjector, ProjectionGeometry, Sinogram
+from .projector import Image, ParallelProjector, ProjectionGeometry, RayMajorProjector, Sinogram
 
 FILTER_KINDS = ("ramp", "dpc")
 
@@ -54,7 +54,8 @@ def filter_sinogram(sino: Sinogram, kind: str) -> Sinogram:
 
 
 def fbp_reconstruct(
-    sino: Sinogram, geom: ProjectionGeometry, kind: str, projector: ParallelProjector
+    sino: Sinogram, geom: ProjectionGeometry, kind: str,
+    projector: ParallelProjector | RayMajorProjector,
 ) -> Image:
     """Filter, back-project through the projector adjoint, and scale.
 

@@ -28,6 +28,15 @@ matrix is never formed densely.  The undamped QR is kept across
 iterations and gains one rotation per step, as in LSQR; the damped one
 is swept afresh, since its first rotation already depends on the weight.
 
+The iteration is exact under scaling by a power of two: the operator
+acts on unit vectors, the data, residuals, noise norm and iterate scale,
+and the weight does not.  So ``gbit_solve`` runs it on ``b / s``, with
+``s`` the power of two at ``b``'s largest entry, and on the target
+``epsilon / s``; it reports residuals and returns the iterate in the
+caller's units, with the bits of the unscaled run wherever that run
+neither underflows nor overflows.  Data of any finite magnitude whose
+norm is finite are solved.
+
 The error trace never forms an iterate.  A solve given ``x_true`` splits
 it as ``V_k c + r`` with ``r`` orthogonal to the columns seen so far,
 projecting out each new column once (``c_j = v_j . r``, then
@@ -49,7 +58,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linops import LinearOperator, as_vector
+from .linops import LinearOperator, as_vector, binary_scale
 
 _BREAKDOWN_RTOL = 1e-14
 UPDATE_SCHEMES = ("classic", "alternative", "fixed")
@@ -464,15 +473,17 @@ def gbit_solve(A: LinearOperator, b, config: GBiTConfig):
     """
     b = as_vector(b, A.rows, "right-hand side")
     x_true = None if config.x_true is None else as_vector(config.x_true, A.cols, "ground truth")
-    for name, vector in (("right-hand side b", b), ("ground truth x_true", x_true)):
-        if vector is None:
-            continue
-        with np.errstate(over="ignore"):
-            norm = np.linalg.norm(vector)
-        if not np.isfinite(norm):
-            raise ValueError(f"{name} holds NaN or inf, or its norm overflows to inf")
+    s = binary_scale(b)  # the loop runs on b / s (module docstring)
+    b = b / s
+    overflow = "holds NaN or inf, or its norm overflows to inf"
+    if not np.isfinite(s * float(np.linalg.norm(b))):
+        raise ValueError(f"right-hand side b {overflow}")
     if x_true is not None:
+        t = binary_scale(x_true)  # the trace is relative, so the truth has its own scale
+        x_true = x_true / t
         true_norm = float(np.linalg.norm(x_true))
+        if not np.isfinite(t * true_norm):
+            raise ValueError(f"ground truth x_true {overflow}")
         if true_norm == 0.0:
             raise ValueError("ground-truth vector must be nonzero for the error trace")
 
@@ -484,7 +495,7 @@ def gbit_solve(A: LinearOperator, b, config: GBiTConfig):
 
     if x_true is not None:
         # x_true = V c + outside, with outside orthogonal to the columns seen
-        outside, coeffs = x_true.copy(), []
+        outside, coeffs = x_true, []  # x_true / t is the solve's own copy
     fixed = config.update_scheme == "fixed"
     lam = float(config.lambda0)
     phi0_prev = dec.r0_norm
@@ -515,7 +526,7 @@ def gbit_solve(A: LinearOperator, b, config: GBiTConfig):
             lam_next, stop = lam, 0.0  # no residual norm is below zero: no stop
         else:
             if config.update_scheme == "classic":
-                target = stop = config.eta * config.epsilon
+                target = stop = config.eta * (config.epsilon / s)
             else:  # alternative
                 target, stop = config.eta * phi0_prev, 1.01 * config.eta * phi0_prev
             lam_next = secant_update(lam, phi0, phi_lam, target)
@@ -529,12 +540,14 @@ def gbit_solve(A: LinearOperator, b, config: GBiTConfig):
             for v in dec.V[:, len(coeffs) : k].T:
                 coeffs.append(float(np.einsum("i,i", v, outside)))
                 outside -= coeffs[-1] * v
-            inside = np.subtract(coeffs, y_lam)
+            inside = np.subtract(coeffs, y_lam * s / t)
             misfit_sq = np.einsum("i,i", outside, outside) + inside @ inside
             rel_error = float(np.sqrt(misfit_sq) / true_norm)
         if config.track_residual:
-            residual = float(np.linalg.norm(b - A.apply(dec.V[:, :k] @ y_lam)))
-        records.append(IterationRecord(it, phi0, phi_lam, lam_next, lam, rel_error, residual))
+            residual = s * float(np.linalg.norm(b - A.apply(dec.V[:, :k] @ y_lam)))
+        records.append(
+            IterationRecord(it, phi0 * s, phi_lam * s, lam_next, lam, rel_error, residual)
+        )
 
         if phi_lam < stop:
             counter += 1
@@ -547,7 +560,8 @@ def gbit_solve(A: LinearOperator, b, config: GBiTConfig):
         termination = "max_iter" if breakdown is None else "breakdown"
 
     _park(A, b, dec)
-    return dec.V[:, : y_current.size] @ y_current, GBiTReport(records, termination, breakdown)
+    x = dec.V[:, : y_current.size] @ (y_current * s)
+    return x, GBiTReport(records, termination, breakdown)
 
 
 def lsqr_solve(A: LinearOperator, b, iters: int, x_true=None):

@@ -10,6 +10,8 @@ factor and the product matrix is never materialized.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -25,6 +27,21 @@ def as_vector(x, size: int, what: str = "input") -> np.ndarray:
             f"{what}: expected a vector of length {size}, got shape {arr.shape}"
         )
     return arr
+
+
+def binary_scale(v) -> float:
+    """The power of two s with max |v| / s in [1, 2); 0.5 for a zero
+    vector and a non-finite maximum.  Dividing by s is exact unless an
+    entry turns subnormal."""
+    return math.ldexp(1.0, math.frexp(float(np.max(np.abs(v), initial=0.0)))[1] - 1)
+
+
+def scaled_norm(v) -> float:
+    """The Euclidean norm as s * ||v / s||, s = ``binary_scale(v)``: it
+    underflows or overflows only where the true norm does, and it has the
+    bits of ``np.linalg.norm`` wherever that norm neither does."""
+    s = binary_scale(v)
+    return s * float(np.linalg.norm(v / s))
 
 
 class LinearOperator:

@@ -29,7 +29,7 @@ import numpy as np
 
 from .diffops import invert_forward, make_diff
 from .gbit import GBiTConfig, GBiTReport, gbit_solve, lsqr_solve
-from .linops import LinearOperator, compose
+from .linops import LinearOperator, compose, scaled_norm
 from .projector import (
     Image,
     ProjectionGeometry,
@@ -139,7 +139,7 @@ def add_noise(b_clean, spec: NoiseSpec) -> np.ndarray:
         raise ValueError(f"expected a measurement vector, got shape {b.shape}")
     if spec.level == 0.0:
         return b.copy()
-    clean_norm = float(np.linalg.norm(b))
+    clean_norm = scaled_norm(b)
     if clean_norm == 0.0:
         raise ValueError("cannot scale noise relative to an all-zero measurement vector")
     rng = np.random.default_rng(spec.seed)
@@ -167,7 +167,7 @@ def model_system(model: str, b, projector) -> tuple[LinearOperator, np.ndarray, 
 def realized_epsilon(model: str, noisy, clean, projector) -> float:
     """The noise norm realized in a model's right-hand side."""
     rhs = model_system(model, noisy, projector)[1]
-    return float(np.linalg.norm(rhs - model_system(model, clean, projector)[1]))
+    return scaled_norm(rhs - model_system(model, clean, projector)[1])
 
 
 def relative_error(x, x_true) -> float:

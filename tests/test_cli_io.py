@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dpctomo import cli
+from dpctomo import cli, projector
 from dpctomo.cli import build_parser
 from dpctomo.diffops import invert_forward, make_diff
 from dpctomo.fbp import fbp_reconstruct
@@ -385,8 +385,9 @@ class TestSimulateCommand:
 
     def test_overflowing_data_is_io_error_naming_the_phantom(self, tmp_path):
         # reconstruct refuses a sinogram of inf values: the noise norm of
-        # 1e300 data overflows, and 1e308 values overflow when projected
-        for value, noise in [(1e300, 0.05), (1e308, 0.0)]:
+        # 1.5e307 data overflows (its projections do not), and 1e308
+        # values overflow when projected
+        for value, noise in [(1.5e307, 0.05), (1e308, 0.0)]:
             phantom_path = tmp_path / f"{value:g}.txt"
             write_image(phantom_path, Image(n_x=8, n_y=8, values=np.full(64, value)), "-")
             sino_path = tmp_path / f"{value:g}.sino"
@@ -398,6 +399,11 @@ class TestSimulateCommand:
             assert str(phantom_path) in result.stderr and "overflow" in result.stderr, value
             assert "Traceback" not in result.stderr and "Warning" not in result.stderr, value
             assert not list(tmp_path.glob("*.sino*")), value
+        # the noise norm of 1e300 data is finite, so they are simulated
+        write_image(tmp_path / "big.txt", Image(n_x=8, n_y=8, values=np.full(64, 1e300)), "-")
+        result = run_cli("simulate", "--phantom", tmp_path / "big.txt", "--angles", 4,
+                         "--noise", 0.05, "--out", tmp_path / "s.sino")
+        assert result.returncode == 0, result.stderr
 
     def test_malformed_phantom_is_io_error(self, tmp_path):
         cases = {
@@ -677,10 +683,10 @@ class TestReconstructCommand:
 
     def test_truth_whose_norm_is_zero_or_inf_is_io_error_naming_the_file(self, pipeline, tmp_path):
         # the error trace is relative to the truth's norm, which is zero for
-        # an all-zero image, underflows to zero for 1e-200 pixels and
-        # overflows to inf for 1e300 pixels
+        # an all-zero image and overflows to inf for 1e307 pixels (a tiny
+        # truth is traced: TestTinyData)
         _, _, sino_path = pipeline
-        for value in (0.0, 1e-200, 1e300):
+        for value in (0.0, 1e307):
             truth = tmp_path / f"{value:g}.txt"
             write_image(truth, Image(n_x=24, n_y=24, values=np.full(576, value)), "-")
             for solver in ("gbit", "lsqr"):
@@ -736,10 +742,9 @@ class TestReconstructCommand:
             assert not list(tmp_path.glob("rec*"))
 
     def test_data_whose_norm_overflows_is_io_error_for_the_krylov_solvers(self, tmp_path):
-        # the sinogram's values are finite (near 1e301) but its norm is not;
-        # fbp never takes that norm and reconstructs it
+        # the sinogram's values are finite (near 1e308) but its norm is not
         phantom = tmp_path / "huge.txt"
-        write_image(phantom, Image(n_x=8, n_y=8, values=np.full(64, 1e300)), "-")
+        write_image(phantom, Image(n_x=8, n_y=8, values=np.full(64, 1.5e307)), "-")
         sino = tmp_path / "huge.sino"
         result = run_cli("simulate", "--phantom", phantom, "--angles", 4, "--noise", 0,
                          "--out", sino)
@@ -753,9 +758,6 @@ class TestReconstructCommand:
             assert str(sino) in result.stderr and "Traceback" not in result.stderr
             assert "Warning" not in result.stderr, solver
             assert not list(tmp_path.glob("rec*"))
-        result = run_cli("reconstruct", "--sino", sino, "--solver", "fbp",
-                         "--out", tmp_path / "rec")
-        assert result.returncode == 0, result.stderr
 
     def test_non_numeric_manifest_epsilon_is_io_error_naming_the_file(self, pipeline, tmp_path):
         _, _, sino_path = pipeline
@@ -787,6 +789,97 @@ class TestReconstructCommand:
         )
         assert result.returncode == 2
         assert "manifest" in result.stderr
+
+
+def run_in(directory, monkeypatch, *argv):
+    """Run the CLI in-process in ``directory``, so relative paths keep the
+    run ids free of the directory's name."""
+    monkeypatch.chdir(directory)
+    assert cli.main(list(map(str, argv))) == 0
+
+
+def file_bytes(directory) -> dict:
+    """Every file's bytes, manifests without their timings."""
+    files = {}
+    for path in sorted(Path(directory).iterdir()):
+        if path.name.endswith(".json"):
+            manifest = json.loads(path.read_text())
+            manifest.pop("wall_clock")
+            files[path.name] = json.dumps(manifest)
+        else:
+            files[path.name] = path.read_bytes()
+    return files
+
+
+class TestOneShotCommands:
+    """simulate and reconstruct --solver fbp apply the projector once and
+    store W ray-major; every file they write keeps the bytes of the stored
+    transpose."""
+
+    def test_write_the_bytes_of_the_stored_transpose(self, tmp_path, monkeypatch):
+        ray_major, stored_t = tmp_path / "ray_major", tmp_path / "stored_t"
+        for directory in (ray_major, stored_t):
+            directory.mkdir()
+            if directory == stored_t:
+                monkeypatch.setattr(cli, "RayMajorProjector", projector.ParallelProjector)
+            run_in(directory, monkeypatch, "phantom", "--size", 20, "--out", "p.txt")
+            run_in(directory, monkeypatch, "simulate", "--phantom", "p.txt", "--angles", 24,
+                   "--detectors", 23, "--out", "s.sino")
+            for model in ("forward", "central", "phase-retrieval"):
+                run_in(directory, monkeypatch, "reconstruct", "--sino", "s.sino", "--solver",
+                       "fbp", "--model", model, "--out", model)
+        assert file_bytes(ray_major) == file_bytes(stored_t)
+
+    def test_fbp_ignores_the_truth_down_to_the_bytes(self, pipeline, tmp_path):
+        # an ignored flag stays out of the run id, which the image stamps
+        _, phantom_path, sino_path = pipeline
+        for truth in ([], ["--truth", phantom_path]):
+            result = run_cli("reconstruct", "--sino", sino_path, "--solver", "fbp", *truth,
+                             "--out", tmp_path / str(len(truth)))
+            assert result.returncode == 0, result.stderr
+        for suffix in (".image.txt", ".image.pgm"):
+            assert (tmp_path / f"0{suffix}").read_bytes() == (tmp_path / f"2{suffix}").read_bytes()
+
+
+class TestTinyData:
+    def test_tiny_pipeline_is_the_unit_pipeline_scaled(self, tmp_path, monkeypatch):
+        # 2^-660 pixels give data near 1e-199, whose plain norms underflow
+        # to zero: the noise, its norm and every reconstruction scale exactly
+        unit = make_phantom(PhantomSpec(size=16))
+        scale = 2.0 ** -660
+        for name, factor in (("unit", 1.0), ("tiny", scale)):
+            directory = tmp_path / name
+            directory.mkdir()
+            write_image(directory / "p.txt", Image(16, 16, unit.values * factor), "-")
+            run_in(directory, monkeypatch, "simulate", "--phantom", "p.txt", "--angles", 20,
+                   "--out", "s.sino")
+            run_in(directory, monkeypatch, "reconstruct", "--sino", "s.sino", "--solver",
+                   "lsqr", "--max-iter", 10, "--truth", "p.txt", "--out", "lsqr")
+            run_in(directory, monkeypatch, "reconstruct", "--sino", "s.sino", "--solver",
+                   "gbit", "--epsilon", "manifest", "--truth", "p.txt", "--out", "gbit")
+
+        def read(name, file):
+            directory = tmp_path / name
+            if file == "s.sino":
+                return read_sinogram(directory / file).values
+            if file.endswith(".csv"):
+                return [(r["phi0"], r["phi_lambda"], r["rel_error"])
+                        for r in read_report_csv(directory / file)]
+            return read_image(directory / file).values
+
+        assert (read("tiny", "s.sino") / scale).tobytes() == read("unit", "s.sino").tobytes()
+        for solver in ("lsqr", "gbit"):
+            tiny = read("tiny", f"{solver}.image.txt")
+            assert np.abs(tiny).max() > 0.0, solver
+            assert (tiny / scale).tobytes() == read("unit", f"{solver}.image.txt").tobytes()
+            tiny_trace = [(phi0 / scale, phi / scale, error)
+                          for phi0, phi, error in read("tiny", f"{solver}.report.csv")]
+            assert tiny_trace == read("unit", f"{solver}.report.csv"), solver
+        unit_eps, tiny_eps = (
+            read_manifest(manifest_path_for(tmp_path / name / "s.sino")).extra["epsilon_noise"]
+            for name in ("unit", "tiny")
+        )
+        assert tiny_eps / scale == unit_eps
 
 
 def option_flags(command: str) -> list[str]:

@@ -491,16 +491,44 @@ class TestGBiTSolve:
         assert report.termination == termination
         assert report.iterations == iterations
 
-    # 1e300 is finite, but the vector's norm overflows
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e300])
+    # 1.7e308 is finite, but the vector's norm overflows
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1.7e308])
     @pytest.mark.parametrize("where", ["right-hand side b", "ground truth x_true"])
     def test_nonfinite_data_rejected_naming_it(self, where, bad):
         vectors = {"b": np.ones(4), "x_true": np.ones(3)}
-        vectors[where.split()[-1]][1] = bad
+        vectors[where.split()[-1]][1:] = bad
         b = vectors["b"]
         config = GBiTConfig(epsilon=1.0, x_true=vectors["x_true"])
         with pytest.raises(ValueError, match=where):
             gbit_solve(MatrixOperator(np.ones((4, 3))), b, config)
+
+    @pytest.mark.parametrize("j", [100, -100, 700, -700])
+    @pytest.mark.parametrize("scheme", ["classic", "alternative", "fixed", "lsqr"])
+    def test_scaling_the_data_by_a_power_of_two_scales_the_solve_bit_for_bit(self, scheme, j):
+        # the loop runs on b / 2^e: 2^j b, 2^j epsilon and 2^j x_true give
+        # 2^j times the iterate and the residuals, and the same weights and
+        # errors, though at j = -700 the plain norm of b underflows to zero
+        # and at j = 700 b's entries are near 1e210
+        a, b, eps = ill_posed(8)
+        x_true = np.random.default_rng(8).standard_normal(a.shape[1])
+        op = MatrixOperator(a)
+
+        def solve(scale):
+            if scheme == "lsqr":
+                return lsqr_solve(op, b * scale, iters=25, x_true=x_true * scale)
+            config = GBiTConfig(epsilon=eps * scale, update_scheme=scheme, max_iter=25,
+                                lambda0=0.3, x_true=x_true * scale, track_residual=True)
+            return gbit_solve(op, b * scale, config)
+
+        x, report = solve(1.0)
+        x_scaled, scaled = solve(2.0 ** j)
+        assert report.iterations > 3
+        assert (x_scaled / 2.0 ** j).tobytes() == x.tobytes()
+        unscaled = [replace(r, phi0=r.phi0 / 2.0 ** j, phi_lambda=r.phi_lambda / 2.0 ** j,
+                            residual=None if r.residual is None else r.residual / 2.0 ** j)
+                    for r in scaled.records]
+        assert repr(unscaled) == repr(report.records)
+        assert (scaled.termination, scaled.breakdown) == (report.termination, report.breakdown)
 
     def test_zero_residual_returns_initial_guess(self):
         # the initial guess is zero, whose residual vanishes for b = 0

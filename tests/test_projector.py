@@ -12,6 +12,7 @@ import subprocess
 import sys
 import trace
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,7 +24,9 @@ from dpctomo.diffops import make_diff
 from dpctomo.linops import ShapeMismatchError, compose
 from dpctomo.projector import (
     Image,
+    ParallelProjector,
     ProjectionGeometry,
+    RayMajorProjector,
     Sinogram,
     _assemble_weights,
     _trace_angle,
@@ -122,6 +125,15 @@ ASSEMBLY_GEOMETRIES = {
 }
 
 
+# n_x, n_y 2-12, k 2-14, 1-12 uniform angles, three spacings, 1-3
+# workers: grid and detector parities put rays on grid planes, where a
+# chord is traced as two entries, in about a tenth of these geometries
+many_geometries = given(
+    n_x=st.integers(2, 12), n_y=st.integers(2, 12), k=st.integers(2, 14),
+    l=st.integers(1, 12), h=st.sampled_from([0.5, 1.0, 1.3]), workers=st.integers(1, 3),
+)
+
+
 class TestBlockedAssembly:
     """The threaded assembly, one run of angles per worker, stores the same
     transpose, array for array, as one global COO -> CSR pass, for any
@@ -136,10 +148,7 @@ class TestBlockedAssembly:
         assert_same_arrays(_assemble_weights(geom, workers), ref_t)
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-    @given(
-        n_x=st.integers(2, 12), n_y=st.integers(2, 12), k=st.integers(2, 14),
-        l=st.integers(1, 12), h=st.sampled_from([0.5, 1.0, 1.3]), workers=st.integers(1, 3),
-    )
+    @many_geometries
     def test_matches_global_assembly_over_many_geometries(self, n_x, n_y, k, l, h, workers):
         # grid and detector parities put rays on grid planes, where the
         # duplicate entries are summed on the transpose, across the
@@ -244,6 +253,37 @@ print(resident_mb() - before)
         finally:
             sys.setswitchinterval(interval)
         assert_same_arrays(weights_t, ref_t)
+
+
+def assert_same_products(geom, workers):
+    with mock.patch.object(projector, "_worker_count", lambda geom: workers):
+        stored_t, ray_major = ParallelProjector(geom), RayMajorProjector(geom)
+    rng = np.random.default_rng(5)
+    x, y = rng.standard_normal(geom.n), rng.standard_normal(geom.m)
+    assert ray_major.apply(x).tobytes() == stored_t.apply(x).tobytes()
+    assert ray_major.apply_transpose(y).tobytes() == stored_t.apply_transpose(y).tobytes()
+
+
+class TestRayMajorLayout:
+    """W stored with sorted rows gives the products of the stored
+    transpose, byte for byte: both add each ray's pixels and each pixel's
+    rays in ascending order, and both sum a split chord's two entries."""
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("name", sorted(ASSEMBLY_GEOMETRIES))
+    def test_products_match_the_stored_transpose(self, name, workers):
+        assert_same_products(ASSEMBLY_GEOMETRIES[name], workers)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @many_geometries
+    def test_products_match_over_many_geometries(self, n_x, n_y, k, l, h, workers):
+        geom = ProjectionGeometry(n_x=n_x, n_y=n_y, k=k, angles=uniform_angles(l), h=h)
+        assert_same_products(geom, workers)
+
+    def test_stores_the_reference_matrix(self):
+        geom = standard_geometry(16, 30)
+        ref, _ = reference_assembly(geom)
+        assert_same_arrays(RayMajorProjector(geom)._weights, ref)
 
 
 class TestDetectorReflection:
