@@ -44,7 +44,9 @@ projecting out each new column once (``c_j = v_j . r``, then
 That equals ``||V_k y - x_true|| / ||x_true||`` because ``V_k`` is
 orthonormal (to about 1e-15 with the reorthogonalization), and it costs
 a few passes over n-vectors per new column, not a product with the
-n x k basis.  Only the
+n x k basis.  The misfit is in the truth's units, so an iterate over
+about 1e154 truths squares to inf; its norm is then taken scaled, and
+the error is inf only where the true ratio overflows.  Only the
 returned iterate, and each iterate when ``track_residual`` is set, is
 formed as ``V_k y``.
 """
@@ -58,7 +60,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linops import LinearOperator, as_vector, binary_scale
+from .linops import LinearOperator, as_vector, binary_scale, scaled_norm
 
 _BREAKDOWN_RTOL = 1e-14
 UPDATE_SCHEMES = ("classic", "alternative", "fixed")
@@ -540,9 +542,12 @@ def gbit_solve(A: LinearOperator, b, config: GBiTConfig):
             for v in dec.V[:, len(coeffs) : k].T:
                 coeffs.append(float(np.einsum("i,i", v, outside)))
                 outside -= coeffs[-1] * v
-            inside = np.subtract(coeffs, y_lam * s / t)
-            misfit_sq = np.einsum("i,i", outside, outside) + inside @ inside
-            rel_error = float(np.sqrt(misfit_sq) / true_norm)
+            with np.errstate(over="ignore"):  # an iterate over ~1e154 truths
+                inside = np.subtract(coeffs, y_lam * (s / t))
+                misfit = np.sqrt(np.einsum("i,i", outside, outside) + inside @ inside)
+            if np.isinf(misfit):  # its square overflowed: take the norm scaled
+                misfit = scaled_norm(np.concatenate((outside, inside)))
+            rel_error = float(misfit / true_norm)
         if config.track_residual:
             residual = s * float(np.linalg.norm(b - A.apply(dec.V[:, :k] @ y_lam)))
         records.append(

@@ -590,20 +590,21 @@ class TestReconstructCommand:
         malformed = tmp_path / "malformed.txt"
         malformed.write_text("not an image\n")
         images = []
-        # fbp never opens the truth: a missing or malformed file changes nothing
-        for name, truth in (("real", phantom_path), ("missing", tmp_path / "missing.txt"),
-                            ("malformed", malformed)):
+        # fbp never opens the truth: a missing or malformed file changes
+        # nothing, and an ignored flag stays out of the run id the image stamps
+        for name, truth in (("none", []), ("real", ["--truth", phantom_path]),
+                            ("missing", ["--truth", tmp_path / "missing.txt"]),
+                            ("malformed", ["--truth", malformed])):
             result = run_cli(
-                "reconstruct", "--sino", sino_path, "--solver", "fbp",
-                "--truth", truth, "--out", tmp_path / name,
+                "reconstruct", "--sino", sino_path, "--solver", "fbp", *truth,
+                "--out", tmp_path / name,
             )
             assert result.returncode == 0, result.stderr
-            (warning,) = [line for line in result.stderr.splitlines() if "warning" in line]
-            assert "--truth" in warning
-            # the header line carries the run id, which hashes the --truth path
-            text = (tmp_path / f"{name}.image.txt").read_text().splitlines()[1:]
-            images.append((text, (tmp_path / f"{name}.image.pgm").read_bytes()))
-        assert images[0] == images[1] == images[2]
+            warnings = [line for line in result.stderr.splitlines() if "warning" in line]
+            assert len(warnings) == (1 if truth else 0) and all("--truth" in w for w in warnings)
+            images.append(tuple((tmp_path / f"{name}{suffix}").read_bytes()
+                                for suffix in (".image.txt", ".image.pgm")))
+        assert images[0] == images[1] == images[2] == images[3]
 
     def test_lsqr_warns_once_on_the_flags_it_does_not_read(self, pipeline, tmp_path):
         _, _, sino_path = pipeline
@@ -699,6 +700,25 @@ class TestReconstructCommand:
                 assert "Warning" not in result.stderr, (value, solver)
                 assert not (tmp_path / "rec.image.txt").exists()
 
+    def test_truth_far_below_the_iterate_is_traced_without_overflow(self, pipeline, tmp_path):
+        # against unit data, a 1e-200 truth leaves errors near 1e200, whose
+        # squares overflow in the truth's units
+        _, phantom_path, sino_path = pipeline
+        truth = tmp_path / "tiny.txt"
+        tiny = read_image(phantom_path).values * 1e-200
+        write_image(truth, Image(n_x=24, n_y=24, values=tiny), "-")
+        for solver, flags in (("gbit", ["--epsilon", "manifest"]), ("lsqr", [])):
+            result = run_cli(
+                "reconstruct", "--sino", sino_path, "--solver", solver, *flags,
+                "--max-iter", 5, "--truth", truth, "--out", tmp_path / solver,
+            )
+            assert result.returncode == 0, (solver, result.stderr)
+            assert "Warning" not in result.stderr, solver
+            x = read_image(tmp_path / f"{solver}.image.txt").values
+            expected = np.linalg.norm(x - tiny) / np.linalg.norm(tiny * 1e200) * 1e200
+            final = read_report_csv(tmp_path / f"{solver}.report.csv")[-1]["rel_error"]
+            assert final == pytest.approx(expected, rel=1e-12), solver
+
     @pytest.mark.parametrize("h", ["nan", "inf"])
     def test_fbp_refuses_nonfinite_spacing(self, pipeline, tmp_path, h):
         # the filter and the back-projection scale would spread it over
@@ -742,22 +762,36 @@ class TestReconstructCommand:
             assert not list(tmp_path.glob("rec*"))
 
     def test_data_whose_norm_overflows_is_io_error_for_the_krylov_solvers(self, tmp_path):
-        # the sinogram's values are finite (near 1e308) but its norm is not
+        # each sinogram's values are finite (near 1e308, or 1e307) but its
+        # norm is not; fbp never takes that norm
         phantom = tmp_path / "huge.txt"
         write_image(phantom, Image(n_x=8, n_y=8, values=np.full(64, 1.5e307)), "-")
-        sino = tmp_path / "huge.sino"
+        simulated = tmp_path / "simulated.sino"
         result = run_cli("simulate", "--phantom", phantom, "--angles", 4, "--noise", 0,
-                         "--out", sino)
+                         "--out", simulated)
         assert result.returncode == 0, result.stderr
-        for solver in ("gbit", "lsqr"):
-            result = run_cli(
-                "reconstruct", "--sino", sino, "--solver", solver, "--epsilon", 1e290,
-                "--out", tmp_path / "rec",
-            )
-            assert result.returncode == 3, (solver, result.stderr)
-            assert str(sino) in result.stderr and "Traceback" not in result.stderr
-            assert "Warning" not in result.stderr, solver
-            assert not list(tmp_path.glob("rec*"))
+        # ±1e307 alternating over 8 detectors and 64 angles: the norm is
+        # 1e307 * sqrt(512), while each block's spectrum and every
+        # back-projected sum stay finite
+        alternating = tmp_path / "alternating.sino"
+        write_sinogram(alternating, Sinogram(k=8, l=64, values=np.tile([1e307, -1e307], 256)))
+        write_manifest(manifest_path_for(alternating),
+                       RunManifest(run_id="-", command=[], config={"n_x": 8, "n_y": 8}))
+        for sino in (simulated, alternating):
+            for solver in ("gbit", "lsqr"):
+                result = run_cli(
+                    "reconstruct", "--sino", sino, "--solver", solver, "--epsilon", 1e290,
+                    "--out", tmp_path / "rec",
+                )
+                assert result.returncode == 3, (sino, solver, result.stderr)
+                assert str(sino) in result.stderr and "Traceback" not in result.stderr
+                assert "Warning" not in result.stderr, (sino, solver)
+                assert not list(tmp_path.glob("rec*"))
+        result = run_cli("reconstruct", "--sino", alternating, "--solver", "fbp",
+                         "--out", tmp_path / "rec")
+        assert result.returncode == 0, result.stderr
+        assert "Warning" not in result.stderr
+        assert np.abs(read_image(tmp_path / "rec.image.txt").values).max() > 1e305
 
     def test_non_numeric_manifest_epsilon_is_io_error_naming_the_file(self, pipeline, tmp_path):
         _, _, sino_path = pipeline
@@ -829,16 +863,6 @@ class TestOneShotCommands:
                 run_in(directory, monkeypatch, "reconstruct", "--sino", "s.sino", "--solver",
                        "fbp", "--model", model, "--out", model)
         assert file_bytes(ray_major) == file_bytes(stored_t)
-
-    def test_fbp_ignores_the_truth_down_to_the_bytes(self, pipeline, tmp_path):
-        # an ignored flag stays out of the run id, which the image stamps
-        _, phantom_path, sino_path = pipeline
-        for truth in ([], ["--truth", phantom_path]):
-            result = run_cli("reconstruct", "--sino", sino_path, "--solver", "fbp", *truth,
-                             "--out", tmp_path / str(len(truth)))
-            assert result.returncode == 0, result.stderr
-        for suffix in (".image.txt", ".image.pgm"):
-            assert (tmp_path / f"0{suffix}").read_bytes() == (tmp_path / f"2{suffix}").read_bytes()
 
 
 class TestTinyData:
