@@ -23,9 +23,14 @@ gathers each ray's pixels in ascending order, and its adjoint, through
 the CSC view, scatters each pixel's rays in ascending order.  So both
 layouts add the same terms in the same order, and a chord split in two
 by a grid plane is summed once, as two addends, in either.  The rule:
-a caller that applies the projector once keeps W and skips the
-transpose; one that applies it many times stores the transpose, whose
-adjoint is 1.2-1.4 times faster per call.
+a process that solves once keeps W, and one that reuses a projector
+stores Wᵀ.  Per call, forward/adjoint take 2.4/3.4 ms with W against
+3.3/2.5 ms with Wᵀ at 128²·180, and 18.5/22.8 against 20.7/18.4 ms at
+256²·180 (medians, fresh processes, 2 cores).  The transpose adds
+0.04 s to a 128²·180 build and 0.18 s to a 256²·180 one, and holds two
+copies of the matrix at once, which sets the build's peak.  A solve
+never earns that back at 128², where the product pairs cost the same,
+and at 256² only after about 70 iterations, at 2-4 ms per pair.
 
 Large geometries trace one run of angles per worker on a thread pool,
 into the arrays of W that the assembling thread allocates: workers
@@ -224,10 +229,19 @@ def _trace_angle(geom: ProjectionGeometry, theta: float, work: np.ndarray, rays:
 
 
 # Assembly traces one run of angles per worker on a thread pool once the
-# geometry traces about _WORK_PER_WORKER crossing parameters per worker:
-# numpy and scipy release the interpreter lock on arrays that large, while
-# smaller geometries are bound by the interpreter and assemble serially.
-_WORK_PER_WORKER = 2_000_000
+# geometry traces _WORK_PER_WORKER crossing parameters per worker: numpy
+# and scipy release the interpreter lock on arrays that large.  Measured
+# on 2 cores (best of 4 builds per fresh process, 1 and 2 workers
+# alternating), a second worker saved no time up to 176²·180 (11.3 M
+# parameters; 0.103-0.111 s serial against 0.098-0.116 s at 128²·180,
+# 6.0 M), broke even at 192²·180 (13.4 M) and saved a fifth from
+# 224²·180 (18.2 M; 0.38-0.40 against 0.29-0.34 s at 256²·180, 23.8 M).
+# It costs memory at every size: the move-down of its entries touches the
+# unused part of the first worker's worst-case region, so a 128²·180
+# build's VmHWM grows by 56-58 MB against 42-44 MB serial.  Three workers
+# would need 24 M, so on hosts with more cores this also caps 256²·180
+# at 2.
+_WORK_PER_WORKER = 8_000_000
 
 
 # A kept segment of length L has its midpoint L * min(|sin|, |cos|) / 2 or
@@ -350,8 +364,10 @@ class ParallelProjector(LinearOperator):
 
 
 class RayMajorProjector(LinearOperator):
-    """R stored as W itself, for one product: its assembly skips the
-    transpose, and its products have ``ParallelProjector``'s bits."""
+    """R stored as W itself, for a process that solves once, such as each
+    CLI command: its assembly skips the transpose and its second copy of
+    the matrix, and its products have ``ParallelProjector``'s bits.  A
+    process that reuses one projector across solves stores Wᵀ instead."""
 
     def __init__(self, geometry: ProjectionGeometry):
         super().__init__(geometry.m, geometry.n)

@@ -748,6 +748,22 @@ class TestReconstructCommand:
             assert "non-finite image" in result.stderr and "Traceback" not in result.stderr
             assert not list(tmp_path.glob("rec*"))
 
+    def test_solve_that_overflows_is_numerical_failure_without_warnings(self, tmp_path):
+        # the data of a ±3e306 image are finite, but the filter's spectrum
+        # and the phase-retrieval iterate overflow
+        phantom, sino = tmp_path / "huge.txt", tmp_path / "huge.sino"
+        write_image(phantom, Image(n_x=8, n_y=8, values=np.tile([3e306, -3e306], 32)), "-")
+        result = run_cli("simulate", "--phantom", phantom, "--angles", 8, "--noise", 0,
+                         "--out", sino)
+        assert result.returncode == 0, result.stderr
+        for flags in (["fbp"], ["gbit", "--model", "phase-retrieval", "--epsilon", 1]):
+            result = run_cli("reconstruct", "--sino", sino, "--solver", *flags,
+                             "--out", tmp_path / "rec")
+            assert result.returncode == 4, (flags, result.stderr)
+            assert "non-finite image" in result.stderr, flags
+            assert "Warning" not in result.stderr, (flags, result.stderr)
+            assert not list(tmp_path.glob("rec*"))
+
     def test_overflowing_phase_retrieval_data_is_io_error_naming_the_file(self, tmp_path):
         # undoing the forward difference sums each block to beyond 1.8e308
         sino = tmp_path / "huge.sino"
@@ -845,10 +861,24 @@ def file_bytes(directory) -> dict:
     return files
 
 
-class TestOneShotCommands:
-    """simulate and reconstruct --solver fbp apply the projector once and
-    store W ray-major; every file they write keeps the bytes of the stored
-    transpose."""
+def run_every_command(directory, monkeypatch):
+    """phantom, simulate, and reconstruct with each solver and model."""
+    run_in(directory, monkeypatch, "phantom", "--size", 20, "--out", "p.txt")
+    run_in(directory, monkeypatch, "simulate", "--phantom", "p.txt", "--angles", 24,
+           "--detectors", 23, "--out", "s.sino")
+    recon = ("reconstruct", "--sino", "s.sino", "--solver")
+    for model in ("forward", "central", "phase-retrieval"):
+        run_in(directory, monkeypatch, *recon, "fbp", "--model", model, "--out", f"fbp-{model}")
+        run_in(directory, monkeypatch, *recon, "gbit", "--model", model, "--epsilon", "manifest",
+               "--truth", "p.txt", "--out", f"gbit-{model}")
+    run_in(directory, monkeypatch, *recon, "lsqr", "--max-iter", 10, "--truth", "p.txt",
+           "--out", "lsqr")
+
+
+class TestRayMajorCommands:
+    """Every command solves once, so it stores W ray-major; every file it
+    writes keeps the bytes of the stored transpose, and none assembles
+    that transpose."""
 
     def test_write_the_bytes_of_the_stored_transpose(self, tmp_path, monkeypatch):
         ray_major, stored_t = tmp_path / "ray_major", tmp_path / "stored_t"
@@ -856,13 +886,15 @@ class TestOneShotCommands:
             directory.mkdir()
             if directory == stored_t:
                 monkeypatch.setattr(cli, "RayMajorProjector", projector.ParallelProjector)
-            run_in(directory, monkeypatch, "phantom", "--size", 20, "--out", "p.txt")
-            run_in(directory, monkeypatch, "simulate", "--phantom", "p.txt", "--angles", 24,
-                   "--detectors", 23, "--out", "s.sino")
-            for model in ("forward", "central", "phase-retrieval"):
-                run_in(directory, monkeypatch, "reconstruct", "--sino", "s.sino", "--solver",
-                       "fbp", "--model", model, "--out", model)
+            run_every_command(directory, monkeypatch)
         assert file_bytes(ray_major) == file_bytes(stored_t)
+
+    def test_no_command_assembles_the_transpose(self, tmp_path, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a CLI command assembled the transpose of W")
+
+        monkeypatch.setattr(projector, "_assemble_weights", refuse)
+        run_every_command(tmp_path, monkeypatch)
 
 
 class TestTinyData:

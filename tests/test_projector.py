@@ -285,6 +285,32 @@ class TestRayMajorLayout:
         ref, _ = reference_assembly(geom)
         assert_same_arrays(RayMajorProjector(geom)._weights, ref)
 
+    @pytest.mark.skipif(sys.platform != "linux", reason="VmHWM from /proc/self/status")
+    def test_cli_size_assembles_serially_without_a_transient(self):
+        # a second worker's entries, moved down after tracing, would touch
+        # the unused part of the first worker's worst-case region: about
+        # 16 MB more than the matrix holds at this size
+        script = """
+from dpctomo.projector import RayMajorProjector, _worker_count, standard_geometry
+def peak():
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) * 1024 for line in fh if line.startswith("VmHWM"))
+RayMajorProjector(standard_geometry(16, 12))  # first calls, outside the measure
+geom = standard_geometry(128, 180)
+before = peak()
+weights = RayMajorProjector(geom)._weights
+growth = peak() - before
+held = sum(a.nbytes for a in (weights.data, weights.indices, weights.indptr))
+print(_worker_count(geom), held, growth)
+"""
+        result = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=300
+        )
+        assert result.returncode == 0, result.stderr
+        workers, held, growth = map(int, result.stdout.split())
+        assert workers == 1
+        assert growth <= held + 5 * 2**20, (growth, held)
+
 
 class TestDetectorReflection:
     """Ray k-1-i is ray i reflected through the origin: assembly traces
