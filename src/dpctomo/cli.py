@@ -43,8 +43,8 @@ from .gbit import GBiTConfig, gbit_solve, lsqr_solve
 from .linops import scaled_norm
 from .projector import (
     Image,
+    OrbitProjector,
     ProjectionGeometry,
-    RayMajorProjector,
     Sinogram,
     uniform_angles,
 )
@@ -201,7 +201,9 @@ def cmd_simulate(args) -> int:
         n_x=image.n_x, n_y=image.n_y, k=detectors, angles=uniform_angles(args.angles)
     )
     with _timed(clock, "build"):
-        projector = RayMajorProjector(geom)  # one forward product
+        # a quarter of the angles traced, unless --detectors or an odd
+        # --angles leaves the orbit rule (projector.py)
+        projector = OrbitProjector(geom)
     # image values near the float range overflow the data or their norms,
     # which the check below refuses
     with _timed(clock, "simulate"), np.errstate(over="ignore", invalid="ignore"):
@@ -335,9 +337,9 @@ def cmd_reconstruct(args) -> int:
 
     clock: dict = {}
     with _timed(clock, "build"):
-        # one solve: W spares the transpose's time and its second copy of
-        # the matrix (the layout rule in projector.py)
-        projector = RayMajorProjector(geom)
+        # a quarter of the angles traced, unless the sinogram's detector
+        # count, spacing or odd angle count leaves the orbit rule
+        projector = OrbitProjector(geom)
 
     report = None
     extra: dict = {}

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .projector import Image, ParallelProjector, ProjectionGeometry, RayMajorProjector, Sinogram
+from .projector import Image, OrbitProjector, ParallelProjector, ProjectionGeometry, Sinogram
 
 FILTER_KINDS = ("ramp", "dpc")
 
@@ -55,7 +55,7 @@ def filter_sinogram(sino: Sinogram, kind: str) -> Sinogram:
 
 def fbp_reconstruct(
     sino: Sinogram, geom: ProjectionGeometry, kind: str,
-    projector: ParallelProjector | RayMajorProjector,
+    projector: ParallelProjector | OrbitProjector,
 ) -> Image:
     """Filter, back-project through the projector adjoint, and scale.
 

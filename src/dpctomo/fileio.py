@@ -169,12 +169,21 @@ def write_report_csv(path, report: GBiTReport, run_id: str = "-") -> None:
 
 def read_report_csv(path) -> list[dict]:
     """The trace by column name; an empty cell reads as None."""
+    with open(path, errors="surrogateescape") as fh:
+        lines = [line for line in fh if not line.startswith("#")]
+    _plain(path, "report values", "".join(lines[1:]))  # the header names hold '_'
+    reader = csv.DictReader(lines)
+    missing = [column for column, _ in _REPORT_COLUMNS if column not in (reader.fieldnames or ())]
+    if missing:
+        raise InputError(f"{path}: not a report, no column {missing[0]!r}")
     rows = []
-    with open(path) as fh:
-        for row in csv.DictReader(line for line in fh if not line.startswith("#")):
+    try:
+        for row in reader:
             cells = {column: float(row[column]) if row[column] else None
                      for column, _ in _REPORT_COLUMNS}
             rows.append({**cells, "iter": int(row["iter"])})
+    except ValueError as exc:
+        raise InputError(f"{path}: record {len(rows) + 1}: {exc}") from None
     return rows
 
 

@@ -13,24 +13,32 @@ the pixel in grid column ``ix`` (x direction) and row ``iy`` (y
 direction).  Sinograms are angle-major blocks of ``k`` detector values,
 matching the block structure of the difference operators.
 
-The weight matrix W of a geometry is stored once, in one of two layouts
-with the same product bits.  ``ParallelProjector`` stores the transpose:
-CSR, each pixel's rays in ascending order.  Its adjoint gathers over
-those rays, and its forward runs through scipy's CSC view of the same
-arrays, made per call, which adds each ray's pixels in ascending order.
-``RayMajorProjector`` stores W itself as sorted CSR rows: its forward
-gathers each ray's pixels in ascending order, and its adjoint, through
-the CSC view, scatters each pixel's rays in ascending order.  So both
-layouts add the same terms in the same order, and a chord split in two
-by a grid plane is summed once, as two addends, in either.  The rule:
-a process that solves once keeps W, and one that reuses a projector
-stores Wᵀ.  Per call, forward/adjoint take 2.4/3.4 ms with W against
-3.3/2.5 ms with Wᵀ at 128²·180, and 18.5/22.8 against 20.7/18.4 ms at
-256²·180 (medians, fresh processes, 2 cores).  The transpose adds
-0.04 s to a 128²·180 build and 0.18 s to a 256²·180 one, and holds two
-copies of the matrix at once, which sets the build's peak.  A solve
-never earns that back at 128², where the product pairs cost the same,
-and at 256² only after about 70 iterations, at 2-4 ms per pair.
+The weight matrix W of a geometry is stored once.  ``ParallelProjector``,
+the library's projector, stores the transpose: CSR, each pixel's rays in
+ascending order.  Its adjoint gathers over those rays, and its forward
+runs through scipy's CSC view of the same arrays, made per call, which
+adds each ray's pixels in ascending order.
+
+``OrbitProjector``, which every CLI command builds, traces a quarter of
+the angles and permutes the rest.  The orbit rule: a square grid, k = n
+detectors at unit spacing, and ``uniform_angles(l)`` with l even.  Then
+the block of angle j + l/2 is block j on the grid turned a quarter, and
+the block of l/2 - j is block j on the transposed grid, so angles
+0 .. l/4 give all l blocks (46 of 180).  Their W is traced serially and
+stored with sorted rows, never transposed.  Both products run the
+representatives on four permuted columns at once, and the adjoint adds
+each pixel's four terms in a fixed order: they repeat byte for byte and
+match the stored transpose's within 4e-14 of their maximum.  Outside the
+rule every angle is traced, under one identity map, and the products
+keep the stored transpose's bits: both layouts add the same terms in the
+same order, a chord split in two by a grid plane as two addends.  The
+rule must leave out odd k - n at unit spacing, where a ray at theta = 0
+runs on a grid plane whose chord the tracer gives to one side, so an
+expanded block would miss a whole chord.  At 128^2 x 180, in fresh
+processes on 2 cores, a build takes 0.030-0.043 s against 0.12-0.17 s
+for the whole W, and forward/adjoint 2.8-3.8 / 2.1-3.0 ms against
+3.4-5.9 / 4.6-6.8 ms; at 256^2 x 180, 0.13-0.16 against 0.34-0.46 s and
+16-22 / 17-24 against 22-26 / 27-31 ms.
 
 Large geometries trace one run of angles per worker on a thread pool,
 into the arrays of W that the assembling thread allocates: workers
@@ -48,7 +56,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
@@ -363,24 +371,55 @@ class ParallelProjector(LinearOperator):
         return self._weights_t @ as_vector(y, self.rows, repr(self))
 
 
-class RayMajorProjector(LinearOperator):
-    """R stored as W itself, for a process that solves once, such as each
-    CLI command: its assembly skips the transpose and its second copy of
-    the matrix, and its products have ``ParallelProjector``'s bits.  A
-    process that reuses one projector across solves stores Wᵀ instead."""
+def _orbit(geom: ProjectionGeometry) -> tuple[int, np.ndarray, np.ndarray]:
+    """(representative angles, pixel maps, gather index) of a geometry:
+    block a of W is ``W_rep[:, maps[c]]``, and its row i is entry
+    ``gather[a * k + i] = (rep * k + i) * r + c`` of the representatives'
+    ``(reps * k, r)`` product."""
+    l, k = geom.l, geom.k
+    if not (geom.n_x == geom.n_y == k and geom.h == 1.0 and l % 2 == 0
+            and np.array_equal(geom.angles, uniform_angles(l))):
+        return l, np.arange(geom.n)[None], np.arange(geom.m)
+    half, reps = l // 2, l // 4 + 1
+    grid = np.arange(geom.n).reshape(k, k, order="F")  # [iy, ix] -> pixel index
+    mirror, turn = grid.T.ravel(order="F"), np.rot90(grid, -1).ravel(order="F")
+    maps = np.array([grid.ravel(order="F"), mirror, turn, mirror[turn]])
+    a = np.arange(l)
+    orbit = [a < reps, a <= half, a - half < reps]  # else the turn of a mirror
+    rep = np.select(orbit, [a, half - a, a - half], l - a)
+    col = np.select(orbit, [0, 1, 2], 3)
+    return reps, maps, ((rep[:, None] * k + np.arange(k)) * 4 + col[:, None]).ravel()
+
+
+class OrbitProjector(LinearOperator):
+    """R stored as the traced blocks of its representative angles, ray
+    major, with the pixel maps that expand them to every angle: the
+    projector each CLI command builds (the layout rule in the module
+    docstring)."""
 
     def __init__(self, geometry: ProjectionGeometry):
         super().__init__(geometry.m, geometry.n)
         self.geometry = geometry
-        self._weights = _traced_weights(geometry, _worker_count(geometry))
+        reps, maps, self._gather = _orbit(geometry)
+        self._weights = _traced_weights(replace(geometry, angles=geometry.angles[:reps]), 1)
         # sorts each ray's pixels and sums a split chord's two entries
         self._weights.sum_duplicates()
+        # both products gather, which is faster than a scatter: the forward
+        # hands map c's column the image at the inverse map's pixels, and
+        # the adjoint reads pixel p's term at row maps[c, p] of column c
+        self._pixels = np.argsort(maps, axis=1).T.copy()
+        self._terms = maps * len(maps) + np.arange(len(maps))[:, None]
 
     def apply(self, x):
-        return self._weights @ as_vector(x, self.cols, repr(self))
+        x = as_vector(x, self.cols, repr(self))
+        return (self._weights @ x[self._pixels]).ravel()[self._gather]
 
     def apply_transpose(self, y):
-        return self._weights.T @ as_vector(y, self.rows, repr(self))
+        blocks = np.zeros(self._weights.shape[0] * len(self._terms))
+        blocks[self._gather] = as_vector(y, self.rows, repr(self))
+        products = self._weights.T @ blocks.reshape(-1, len(self._terms))
+        # the r maps' terms of each pixel, added in the maps' order
+        return products.ravel()[self._terms].sum(axis=0)
 
 
 def build_projector(geom: ProjectionGeometry) -> ParallelProjector:
@@ -388,7 +427,7 @@ def build_projector(geom: ProjectionGeometry) -> ParallelProjector:
     return ParallelProjector(geom)
 
 
-def project(op: ParallelProjector | RayMajorProjector, img: Image) -> Sinogram:
+def project(op: ParallelProjector | OrbitProjector, img: Image) -> Sinogram:
     """Forward projection R x as an angle-major sinogram."""
     geom = op.geometry
     if (img.n_x, img.n_y) != (geom.n_x, geom.n_y):
