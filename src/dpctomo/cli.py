@@ -9,9 +9,10 @@ shared run id into the files it produces, so a result can always be
 traced back to the exact command, configuration, and seed.  The run id
 hashes the manifest's ``config``: the echoed flags (``_ECHOED``) and the
 values the command resolved, such as the grid size.  Its ``wall_clock``
-holds the seconds of each phase: ``build`` (the phantom's rasterization
-or the projector's assembly), then ``simulate`` or ``solve``, then
-``write`` (the output files, not the manifest itself).
+holds the seconds of each phase: ``read`` (the input files of
+``simulate`` and ``reconstruct``), ``build`` (the phantom's
+rasterization or the projector's assembly), then ``simulate`` or
+``solve``, then ``write`` (the output files, not the manifest itself).
 """
 
 from __future__ import annotations
@@ -189,14 +190,15 @@ def cmd_simulate(args) -> int:
     if args.detectors is not None and args.detectors < 2:
         # the difference stencils need blocks of at least two detectors
         raise UsageError(f"--detectors must be >= 2, got {args.detectors}")
-    image = read_image(args.phantom)
+    clock: dict = {}
+    with _timed(clock, "read"):
+        image = read_image(args.phantom)
     if args.detectors is None and image.n_x < 2:
         raise InputError(
             f"{args.phantom}: the image is {image.n_x} pixel wide, and the detector "
             "count defaults to the width; pass --detectors N with N >= 2"
         )
     detectors = args.detectors if args.detectors is not None else image.n_x
-    clock: dict = {}
     geom = ProjectionGeometry(
         n_x=image.n_x, n_y=image.n_y, k=detectors, angles=uniform_angles(args.angles)
     )
@@ -292,50 +294,51 @@ def _solver_config(args, manifest: RunManifest, truth) -> GBiTConfig:
 
 
 def cmd_reconstruct(args) -> int:
-    sino = read_sinogram(args.sino)
-    if sino.k < 2 and args.model != "phase-retrieval":
-        raise InputError(
-            f"{args.sino}: the sinogram has k={sino.k} detectors per angle, and the "
-            f"{args.model} difference model needs k >= 2"
-        )
-    manifest_path = manifest_path_for(args.sino)
-    try:
-        manifest_in = read_manifest(manifest_path)
-    except FileNotFoundError:
-        raise UsageError(
-            f"no manifest sidecar at {manifest_path}; the grid size of "
-            "the reconstruction comes from the manifest written by 'simulate'"
-        )
-    try:
-        geom = ProjectionGeometry(
-            n_x=int(manifest_in.config["n_x"]), n_y=int(manifest_in.config["n_y"]),
-            k=sino.k, angles=uniform_angles(sino.l), h=sino.h,
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(
-            f"{manifest_path}: config carries no valid grid size n_x, n_y ({exc})"
-        ) from exc
+    clock: dict = {}
+    with _timed(clock, "read"):  # the sinogram, its manifest and the truth
+        sino = read_sinogram(args.sino)
+        if sino.k < 2 and args.model != "phase-retrieval":
+            raise InputError(
+                f"{args.sino}: the sinogram has k={sino.k} detectors per angle, and the "
+                f"{args.model} difference model needs k >= 2"
+            )
+        manifest_path = manifest_path_for(args.sino)
+        try:
+            manifest_in = read_manifest(manifest_path)
+        except FileNotFoundError:
+            raise UsageError(
+                f"no manifest sidecar at {manifest_path}; the grid size of "
+                "the reconstruction comes from the manifest written by 'simulate'"
+            )
+        try:
+            geom = ProjectionGeometry(
+                n_x=int(manifest_in.config["n_x"]), n_y=int(manifest_in.config["n_y"]),
+                k=sino.k, angles=uniform_angles(sino.l), h=sino.h,
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InputError(
+                f"{manifest_path}: config carries no valid grid size n_x, n_y ({exc})"
+            ) from exc
 
-    ignored = [
-        n for n in (*_SOLVER_FLAGS, "truth")
-        if n not in _FLAGS_READ[args.solver] and getattr(args, n) is not None
-    ]
-    if ignored:
-        print(f"warning: {args.solver} ignores the flags {', '.join(map(_flag, ignored))}",
-              file=sys.stderr)
+        ignored = [
+            n for n in (*_SOLVER_FLAGS, "truth")
+            if n not in _FLAGS_READ[args.solver] and getattr(args, n) is not None
+        ]
+        if ignored:
+            print(f"warning: {args.solver} ignores the flags {', '.join(map(_flag, ignored))}",
+                  file=sys.stderr)
 
-    truth = None
-    if args.truth is not None and "truth" not in ignored:
-        truth = read_image(args.truth)
-        if (truth.n_x, truth.n_y) != (geom.n_x, geom.n_y):
-            raise UsageError("--truth grid does not match the sinogram's manifest grid")
-        norm = scaled_norm(truth.values)
-        if norm == 0.0 or np.isinf(norm):
-            raise InputError(f"{args.truth}: the ground-truth image's norm is {norm:g}, "
-                             "so the error trace relative to it is undefined")
+        truth = None
+        if args.truth is not None and "truth" not in ignored:
+            truth = read_image(args.truth)
+            if (truth.n_x, truth.n_y) != (geom.n_x, geom.n_y):
+                raise UsageError("--truth grid does not match the sinogram's manifest grid")
+            norm = scaled_norm(truth.values)
+            if norm == 0.0 or np.isinf(norm):
+                raise InputError(f"{args.truth}: the ground-truth image's norm is {norm:g}, "
+                                 "so the error trace relative to it is undefined")
     solver_config = None if args.solver == "fbp" else _solver_config(args, manifest_in, truth)
 
-    clock: dict = {}
     with _timed(clock, "build"):
         # a quarter of the angles traced, unless the sinogram's detector
         # count, spacing or odd angle count leaves the orbit rule

@@ -25,20 +25,20 @@ detectors at unit spacing, and ``uniform_angles(l)`` with l even.  Then
 the block of angle j + l/2 is block j on the grid turned a quarter, and
 the block of l/2 - j is block j on the transposed grid, so angles
 0 .. l/4 give all l blocks (46 of 180).  Their W is traced serially and
-stored with sorted rows, never transposed.  Both products run the
-representatives on four permuted columns at once, and the adjoint adds
-each pixel's four terms in a fixed order: they repeat byte for byte and
-match the stored transpose's within 4e-14 of their maximum.  Outside the
-rule every angle is traced, under one identity map, and the products
-keep the stored transpose's bits: both layouts add the same terms in the
-same order, a chord split in two by a grid plane as two addends.  The
-rule must leave out odd k - n at unit spacing, where a ray at theta = 0
-runs on a grid plane whose chord the tracer gives to one side, so an
-expanded block would miss a whole chord.  At 128^2 x 180, in fresh
-processes on 2 cores, a build takes 0.030-0.043 s against 0.12-0.17 s
-for the whole W, and forward/adjoint 2.8-3.8 / 2.1-3.0 ms against
-3.4-5.9 / 4.6-6.8 ms; at 256^2 x 180, 0.13-0.16 against 0.34-0.46 s and
-16-22 / 17-24 against 22-26 / 27-31 ms.
+stored in the order traced, never sorted or transposed.  Both products
+run the representatives on four permuted columns at once, and the
+adjoint adds each pixel's four terms in a fixed order: they repeat byte
+for byte and match the stored transpose's within 4e-14 of their maximum.
+Outside the rule every angle is traced, under one identity map, and W's
+rows are sorted with a split chord's entries summed, so the products keep
+the stored transpose's bits: both layouts add the same terms in the same
+order.  The rule must leave out odd k - n at unit spacing, where a ray at
+theta = 0 runs on a grid plane whose chord the tracer gives to one side,
+so an expanded block would miss a whole chord.  At 128^2 x 180 on 2
+cores a build takes 0.021-0.033 s (the sort it skips took 0.008-0.011 s)
+against 0.12-0.17 s for the whole W, and forward/adjoint 2.8-3.8 /
+2.1-3.0 ms against 3.4-5.9 / 4.6-6.8 ms; at 256^2 x 180, 0.07-0.09
+against 0.34-0.46 s and 16-22 / 17-24 against 22-26 / 27-31 ms.
 
 Large geometries trace one run of angles per worker on a thread pool,
 into the arrays of W that the assembling thread allocates: workers
@@ -402,8 +402,11 @@ class OrbitProjector(LinearOperator):
         self.geometry = geometry
         reps, maps, self._gather = _orbit(geometry)
         self._weights = _traced_weights(replace(geometry, angles=geometry.angles[:reps]), 1)
-        # sorts each ray's pixels and sums a split chord's two entries
-        self._weights.sum_duplicates()
+        if len(maps) == 1:
+            # sorts each ray's pixels and sums a split chord's two entries,
+            # which gives the products the stored transpose's bits; inside
+            # the rule no order is owed, and the sort is a quarter of a build
+            self._weights.sum_duplicates()
         # both products gather, which is faster than a scatter: the forward
         # hands map c's column the image at the inverse map's pixels, and
         # the adjoint reads pixel p's term at row maps[c, p] of column c

@@ -2,9 +2,10 @@
 
 Each helper materializes something the package only ever applies or
 stores in compact form, so a test can compare against plain dense
-linear algebra; ``givens_sweep`` is the reference projected solve and
-``complex_filtered_blocks`` the reference FBP filter.  The module name
-keeps pytest from collecting it.
+linear algebra; ``givens_sweep`` is the reference projected solve,
+``complex_filtered_blocks`` the reference FBP filter and ``text_values``
+the reference text format.  The module name keeps pytest from
+collecting it.
 """
 
 from dataclasses import dataclass
@@ -162,3 +163,9 @@ def complex_filtered_blocks(blocks, h: float, kind: str) -> np.ndarray:
     buf = np.zeros((l, padded))
     buf[:, :k] = blocks
     return np.fft.ifft(np.fft.fft(buf, axis=1) * symbol, axis=1).real
+
+
+def text_values(values) -> str:
+    """The data lines of the image and sinogram files, each value
+    formatted on its own: 17 significant digits, one value per line."""
+    return "".join(format(float(v), ".17g") + "\n" for v in values)

@@ -9,10 +9,13 @@ import json
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from dpctomo import cli, projector
 from dpctomo.cli import build_parser
@@ -36,6 +39,7 @@ from dpctomo.gbit import GBiTConfig, GBiTReport, IterationRecord
 from dpctomo.linops import compose
 from dpctomo.projector import Image, Sinogram, build_projector, standard_geometry
 from dpctomo.simlab import PhantomSpec, make_phantom
+from oracles import text_values
 
 
 def assert_close(actual, expected):
@@ -80,12 +84,58 @@ class TestFileFormats:
         sino = Sinogram(k=3, l=2, values=np.linspace(-1, 1, 6), h=0.5)
         path = tmp_path / "m.sino"
         write_sinogram(path, sino, run_id="r1")
-        text = path.read_text().splitlines()
-        text.insert(2, "# a comment line")
-        path.write_text("\n".join(text) + "\n")
-        back = read_sinogram(path)
-        assert (back.k, back.l, back.h) == (3, 2, 0.5)
-        np.testing.assert_array_equal(back.values, sino.values)
+        lines = path.read_text().splitlines(keepends=True)
+        for position in range(len(lines) + 1):  # a comment before, inside and after the header
+            path.write_text("".join(lines[:position] + ["# a comment line\n"] + lines[position:]))
+            back = read_sinogram(path)
+            assert (back.k, back.l, back.h) == (3, 2, 0.5)
+            np.testing.assert_array_equal(back.values, sino.values)
+
+    # the extremes of float64, named, beside any finite draw
+    EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e-310,
+                   -1.2345678901234567e-320, 1.7976931348623157e308, -1.7976931348623157e308]
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(values=arrays(np.float64, st.integers(1, 40),
+                         elements=st.floats(allow_nan=False, allow_infinity=False)))
+    @example(values=np.array(EDGE_VALUES))
+    def test_files_hold_each_value_formatted_alone_and_read_back_exactly(self, values):
+        # a fresh directory per draw: hypothesis runs every draw in one test
+        with tempfile.TemporaryDirectory() as root:
+            img_path, sino_path = Path(root) / "img.txt", Path(root) / "m.sino"
+            write_image(img_path, Image(n_x=1, n_y=values.size, values=values), run_id="r")
+            write_sinogram(sino_path, Sinogram(k=values.size, l=1, values=values, h=0.5))
+            assert img_path.read_text() == f"DPCTOMO-IMAGE-1 r\n1\n{values.size}\n" \
+                + text_values(values)
+            assert sino_path.read_text() == f"DPCTOMO-SINO-1 -\n{values.size}\n1\n0.5\n" \
+                "ordering=angle-major\n" + text_values(values)
+            assert read_image(img_path).values.tobytes() == values.tobytes()
+            assert read_sinogram(sino_path).values.tobytes() == values.tobytes()
+
+    @pytest.mark.parametrize("edit", [
+        lambda text: text.replace("\n", "\r\n"),
+        lambda text: text.replace("\n0.5\n", "\n\n0.5\n\n  \n"),
+        lambda text: text[:-1],
+    ], ids=["crlf", "blank_lines_among_values", "no_final_newline"])
+    def test_files_read_through_line_endings_and_blank_lines(self, tmp_path, edit):
+        sino = Sinogram(k=3, l=2, values=np.array([0.25, -1.0, 0.5, 2.0, 0.125, 3.0]))
+        path = tmp_path / "m.sino"
+        write_sinogram(path, sino)
+        path.write_bytes(edit(path.read_text()).encode())
+        np.testing.assert_array_equal(read_sinogram(path).values, sino.values)
+        img_path = tmp_path / "img.txt"
+        write_image(img_path, Image(n_x=2, n_y=3, values=sino.values))
+        img_path.write_bytes(edit(img_path.read_text()).encode())
+        np.testing.assert_array_equal(read_image(img_path).values, sino.values)
+
+    @pytest.mark.parametrize("kept", [1, 2, 3, 4])
+    def test_truncated_sinogram_header_counts_its_lines(self, tmp_path, kept):
+        path = tmp_path / "m.sino"
+        write_sinogram(path, Sinogram(k=3, l=2, values=np.arange(6.0)))
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(["# note\n"] + lines[:kept]))
+        with pytest.raises(InputError, match=f"m.sino: truncated header \\({kept} of 5 lines\\)"):
+            read_sinogram(path)
 
     def test_report_csv_roundtrip(self, tmp_path):
         records = [
@@ -1025,8 +1075,8 @@ class TestManifests:
         "command, phases",
         [
             ("phantom", ["build", "write"]),
-            ("simulate", ["build", "simulate", "write"]),
-            ("reconstruct", ["build", "solve", "write"]),
+            ("simulate", ["build", "read", "simulate", "write"]),
+            ("reconstruct", ["build", "read", "solve", "write"]),
         ],
     )
     def test_echoes_every_flag_and_times_every_phase(self, pipeline, tmp_path, command, phases):

@@ -328,7 +328,26 @@ class TestOrbitLayout:
     def test_stores_the_representatives_reference_matrix(self):
         geom = standard_geometry(16, 30)  # angles 0 .. 7 represent all 30
         ref, _ = reference_assembly(replace(geom, angles=geom.angles[:8]))
-        assert_same_arrays(OrbitProjector(geom)._weights, ref)
+        weights = OrbitProjector(geom)._weights.copy()
+        weights.sum_duplicates()  # the rays are stored in the order traced
+        assert_same_arrays(weights, ref)
+
+    def test_stores_the_rays_sorted_outside_the_rule_alone(self):
+        inside = OrbitProjector(standard_geometry(128, 180))._weights
+        outside = OrbitProjector(replace(standard_geometry(128, 180), k=130))._weights
+        assert not inside.has_sorted_indices
+        assert outside.has_canonical_format
+
+    def test_builds_repeat_byte_for_byte(self):
+        geom = standard_geometry(128, 180)
+        first, second = OrbitProjector(geom), OrbitProjector(geom)
+        for name in ("data", "indices", "indptr"):
+            a, b = getattr(first._weights, name), getattr(second._weights, name)
+            assert a.tobytes() == b.tobytes(), name
+        rng = np.random.default_rng(3)
+        x, y = rng.standard_normal(geom.n), rng.standard_normal(geom.m)
+        assert first.apply(x).tobytes() == second.apply(x).tobytes()
+        assert first.apply_transpose(y).tobytes() == second.apply_transpose(y).tobytes()
 
     @pytest.mark.skipif(sys.platform != "linux", reason="VmHWM from /proc/self/status")
     def test_cli_size_assembles_serially_without_a_transient(self):
