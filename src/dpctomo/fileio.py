@@ -133,10 +133,12 @@ def write_sinogram(path, sino: Sinogram, run_id: str = "-") -> None:
 
 def read_sinogram(path) -> Sinogram:
     with open(path, errors="surrogateescape") as fh:
-        lines = fh.read().split("\n")
+        text = fh.read()
+        lines = text.split("\n")
         if not lines[-1]:  # the last line's newline ends it, and starts no line
             lines.pop()
-        lines = [line for line in lines if not line.startswith("#")]
+        if "#" in text:  # no file the CLI writes holds a comment
+            lines = [line for line in lines if not line.startswith("#")]
         header = lines[:5]
         magic = header[0].split() if header else []
         if not magic or magic[0] != SINO_MAGIC:

@@ -19,26 +19,33 @@ ascending order.  Its adjoint gathers over those rays, and its forward
 runs through scipy's CSC view of the same arrays, made per call, which
 adds each ray's pixels in ascending order.
 
-``OrbitProjector``, which every CLI command builds, traces a quarter of
-the angles and permutes the rest.  The orbit rule: a square grid, k = n
-detectors at unit spacing, and ``uniform_angles(l)`` with l even.  Then
-the block of angle j + l/2 is block j on the grid turned a quarter, and
-the block of l/2 - j is block j on the transposed grid, so angles
-0 .. l/4 give all l blocks (46 of 180).  Their W is traced serially and
-stored in the order traced, never sorted or transposed.  Both products
-run the representatives on four permuted columns at once, and the
-adjoint adds each pixel's four terms in a fixed order: they repeat byte
-for byte and match the stored transpose's within 4e-14 of their maximum.
-Outside the rule every angle is traced, under one identity map, and W's
-rows are sorted with a split chord's entries summed, so the products keep
-the stored transpose's bits: both layouts add the same terms in the same
-order.  The rule must leave out odd k - n at unit spacing, where a ray at
-theta = 0 runs on a grid plane whose chord the tracer gives to one side,
-so an expanded block would miss a whole chord.  At 128^2 x 180 on 2
-cores a build takes 0.021-0.033 s (the sort it skips took 0.008-0.011 s)
-against 0.12-0.17 s for the whole W, and forward/adjoint 2.8-3.8 /
-2.1-3.0 ms against 3.4-5.9 / 4.6-6.8 ms; at 256^2 x 180, 0.07-0.09
-against 0.34-0.46 s and 16-22 / 17-24 against 22-26 / 27-31 ms.
+``OrbitProjector``, which every CLI command builds, traces half the rays
+of a quarter of the angles and expands them by the eight symmetries of
+the square.  The orbit rule: a square grid, k = n detectors at unit
+spacing, and ``uniform_angles(l)`` with l even.  Then the block of angle
+j + l/2 is block j on the grid turned a quarter, and the block of l/2 - j
+is block j on the transposed grid, so angles 0 .. l/4 give all l blocks
+(46 of 180).  Ray k-1-i of an angle is ray i on the grid turned a half
+(below), so each of these angles keeps only the ceil(k/2) rays it
+traces, unless it was traced whole (theta = 0 always is).  The four maps,
+and each followed by the half turn p -> n-1-p, make eight.  The kept rays
+are traced serially and stored in the order traced, never sorted or
+transposed: 458,121 entries at 128^2 x 180 and 1.83 M at 256^2 x 180,
+half of the 0.90 M and 3.60 M the four maps needed.  Both products run
+the stored rays on eight permuted columns at once (the half turn
+reverses a column, so it needs no table of its own), and the adjoint
+adds each pixel's eight terms in a fixed order: they repeat byte for
+byte and match the stored transpose's within 7e-14 of their maximum.
+Outside the rule every angle is traced whole, under one identity map,
+and W's rows are sorted with a split chord's entries summed, so the
+products keep the stored transpose's bits: both layouts add the same
+terms in the same order.  The rule must leave out odd k - n at unit
+spacing, where a ray at theta = 0 runs on a grid plane whose chord the
+tracer gives to one side, so an expanded block would miss a whole chord.
+On 2 cores, best of 40 products in alternating processes, forward /
+adjoint take 2.4-2.8 / 1.8-1.9 ms at 128^2 x 180 (four maps: 2.5-3.0 /
+1.9-2.0) and 10.4-11.6 / 10.3-11.4 ms at 256^2 x 180 (12.2-13.2 /
+11.5-12.5); a build takes 0.023-0.026 and 0.076-0.084 s, as before.
 
 Large geometries trace one run of angles per worker on a thread pool,
 into the arrays of W that the assembling thread allocates: workers
@@ -48,7 +55,9 @@ keeps what a thread frees in that thread's malloc arena.
 Each angle traces only its first ceil(k/2) rays: detector k-1-i sits at
 -t_i and the grid planes are symmetric, so its ray holds ray i's lengths
 at pixels n-1-p, bit for bit, unless a floor rounds onto a grid line; an
-angle with a segment short enough for that traces all k rays.
+angle with a segment short enough for that traces all k rays.  The
+stored transpose writes the other rays from the traced ones; the orbit
+projector reads them through the half turn.
 """
 
 from __future__ import annotations
@@ -259,9 +268,10 @@ _WORK_PER_WORKER = 8_000_000
 _MIRROR_MARGIN = 2e-9
 
 
-def _trace_block(geom: ProjectionGeometry, angles: np.ndarray, indices, data) -> np.ndarray:
+def _trace_block(geom: ProjectionGeometry, angles: np.ndarray, indices, data, mirror: bool):
     """Trace a run of consecutive angles into the caller's arrays and
-    return the number of entries of each ray.
+    return the number of entries of each stored ray and the number of
+    rays stored for each angle.
 
     ``indices`` and ``data`` receive the entries ray after ray, each ray's
     in travel order or its reverse; they must hold the
@@ -276,11 +286,13 @@ def _trace_block(geom: ProjectionGeometry, angles: np.ndarray, indices, data) ->
     |cos|)``; an angle with one traces all k rays.  In the uniform 64^2
     to 256^2 geometries that is 0 and the float nearest pi/2, but a rule
     on theta alone would miss 1e-10, 1e-8 and pi/2 - 1e-9 with k = 7 on
-    8^2 or k = 31 on 32^2.
+    8^2 or k = 31 on 32^2.  ``mirror`` writes the other rays of a halved
+    angle from the traced ones; without it only the traced rays are
+    stored.
     """
     work = np.empty((4, geom.k * (geom.n_x + geom.n_y + 4)))
     traced, mirrored, last = (geom.k + 1) // 2, geom.k // 2, geom.n - 1
-    per_ray, end = [], 0
+    per_ray, rays, end = [], [], 0
     for theta in angles:
         theta = float(theta)
         counts, pix_idx, w, shortest = _trace_angle(geom, theta, work, traced)
@@ -291,14 +303,15 @@ def _trace_block(geom: ProjectionGeometry, angles: np.ndarray, indices, data) ->
         data[end : end + w.size] = w
         per_ray.append(counts)
         end += w.size
-        if counts.size < geom.k:
+        if mirror and counts.size < geom.k:
             # rays mirrored-1 .. 0, each reversed: one reversal of their entries
             size = int(counts[:mirrored].sum())
             indices[end : end + size] = last - pix_idx[:size][::-1]
             data[end : end + size] = w[:size][::-1]
             per_ray.append(counts[:mirrored][::-1])
             end += size
-    return np.concatenate(per_ray)
+        rays.append(geom.k if mirror else counts.size)
+    return np.concatenate(per_ray), rays
 
 
 def _worker_count(geom: ProjectionGeometry) -> int:
@@ -310,9 +323,11 @@ def _worker_count(geom: ProjectionGeometry) -> int:
     return max(1, min(cores, work // _WORK_PER_WORKER))
 
 
-def _traced_weights(geom: ProjectionGeometry, workers: int) -> sp.csr_matrix:
+def _traced_weights(geom: ProjectionGeometry, workers: int, mirror: bool):
     """The weight matrix as CSR, each ray's entries in travel order or its
-    reverse, a chord split by a grid plane as two entries.
+    reverse, a chord split by a grid plane as two entries, and the number
+    of rays stored for each angle: k, or ceil(k/2) for an angle halved
+    without ``mirror`` (see ``_trace_block``).
 
     The filled parts of the traced runs are moved down into one run and
     the arrays shrunk in place to it.
@@ -325,8 +340,8 @@ def _traced_weights(geom: ProjectionGeometry, workers: int) -> sp.csr_matrix:
     data = np.empty(starts[-1])
     with ThreadPoolExecutor(workers) as pool:  # starts no thread if unused
         run = pool.map if workers > 1 else map
-        counts = list(run(partial(_trace_block, geom), angle_runs,
-                          [indices[a:b] for a, b in parts], [data[a:b] for a, b in parts]))
+        counts, rays = zip(*run(partial(_trace_block, geom, mirror=mirror), angle_runs,
+                                [indices[a:b] for a, b in parts], [data[a:b] for a, b in parts]))
     end = 0  # the moves may overlap; numpy assigns as if through a copy
     for (start, _), per_ray in zip(parts, counts):
         filled = int(per_ray.sum())
@@ -339,7 +354,8 @@ def _traced_weights(geom: ProjectionGeometry, workers: int) -> sp.csr_matrix:
     indices.resize(end, refcheck=False)
     data.resize(end, refcheck=False)
     indptr = np.concatenate(([0], np.cumsum(np.concatenate(counts))))
-    return sp.csr_matrix((data, indices, indptr), shape=(geom.m, geom.n))
+    weights = sp.csr_matrix((data, indices, indptr), shape=(indptr.size - 1, geom.n))
+    return weights, np.concatenate(rays)
 
 
 def _assemble_weights(geom: ProjectionGeometry, workers: int) -> sp.csr_matrix:
@@ -349,7 +365,7 @@ def _assemble_weights(geom: ProjectionGeometry, workers: int) -> sp.csr_matrix:
     in ascending order whatever the order within a ray, so it does not
     depend on the worker count.
     """
-    weights_t = _traced_weights(geom, workers).T.tocsr()
+    weights_t = _traced_weights(geom, workers, True)[0].T.tocsr()
     # a ray along a grid plane splits one chord into two entries; the sum
     # of two addends has the same bits in either order
     weights_t.sum_duplicates()
@@ -371,15 +387,14 @@ class ParallelProjector(LinearOperator):
         return self._weights_t @ as_vector(y, self.rows, repr(self))
 
 
-def _orbit(geom: ProjectionGeometry) -> tuple[int, np.ndarray, np.ndarray]:
-    """(representative angles, pixel maps, gather index) of a geometry:
-    block a of W is ``W_rep[:, maps[c]]``, and its row i is entry
-    ``gather[a * k + i] = (rep * k + i) * r + c`` of the representatives'
-    ``(reps * k, r)`` product."""
+def _orbit(geom: ProjectionGeometry) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+    """(representative angles, pixel maps, and each angle's representative
+    and map): block a of W is ``W_rep[:, maps[map[a]]]``, where W_rep is
+    the block of representative ``rep[a]``."""
     l, k = geom.l, geom.k
     if not (geom.n_x == geom.n_y == k and geom.h == 1.0 and l % 2 == 0
             and np.array_equal(geom.angles, uniform_angles(l))):
-        return l, np.arange(geom.n)[None], np.arange(geom.m)
+        return l, np.arange(geom.n)[None], np.arange(l), np.zeros(l, dtype=int)
     half, reps = l // 2, l // 4 + 1
     grid = np.arange(geom.n).reshape(k, k, order="F")  # [iy, ix] -> pixel index
     mirror, turn = grid.T.ravel(order="F"), np.rot90(grid, -1).ravel(order="F")
@@ -387,40 +402,56 @@ def _orbit(geom: ProjectionGeometry) -> tuple[int, np.ndarray, np.ndarray]:
     a = np.arange(l)
     orbit = [a < reps, a <= half, a - half < reps]  # else the turn of a mirror
     rep = np.select(orbit, [a, half - a, a - half], l - a)
-    col = np.select(orbit, [0, 1, 2], 3)
-    return reps, maps, ((rep[:, None] * k + np.arange(k)) * 4 + col[:, None]).ravel()
+    return reps, maps, rep, np.select(orbit, [0, 1, 2], 3)
 
 
 class OrbitProjector(LinearOperator):
-    """R stored as the traced blocks of its representative angles, ray
-    major, with the pixel maps that expand them to every angle: the
-    projector each CLI command builds (the layout rule in the module
-    docstring)."""
+    """R stored as the traced rays of its representative angles, ray
+    major, with the pixel maps that expand them to every ray of every
+    angle: the projector each CLI command builds (the layout rule in the
+    module docstring)."""
 
     def __init__(self, geometry: ProjectionGeometry):
         super().__init__(geometry.m, geometry.n)
         self.geometry = geometry
-        reps, maps, self._gather = _orbit(geometry)
-        self._weights = _traced_weights(replace(geometry, angles=geometry.angles[:reps]), 1)
-        if len(maps) == 1:
+        reps, maps, rep, col = _orbit(geometry)
+        r, k = len(maps), geometry.k
+        self._halved = r > 1
+        self._weights, rays = _traced_weights(
+            replace(geometry, angles=geometry.angles[:reps]), 1, not self._halved)
+        if not self._halved:
             # sorts each ray's pixels and sums a split chord's two entries,
             # which gives the products the stored transpose's bits; inside
-            # the rule no order is owed, and the sort is a quarter of a build
+            # the rule no order is owed, and no sort is paid
             self._weights.sum_duplicates()
+        # ray i of angle a is stored row i of its representative, or, past
+        # a halved representative's rays, row k-1-i under map c + r: the
+        # half turn p -> n-1-p after map c
+        i = np.arange(k)
+        mirrored = i >= rays[rep][:, None]
+        rows = np.where(mirrored, k - 1 - i, i) + (np.cumsum(rays) - rays)[rep][:, None]
+        self._gather = (rows * r * (1 + self._halved) + col[:, None] + r * mirrored).ravel()
         # both products gather, which is faster than a scatter: the forward
         # hands map c's column the image at the inverse map's pixels, and
-        # the adjoint reads pixel p's term at row maps[c, p] of column c
+        # the adjoint reads pixel p's term at row maps[c, p] of column c.
+        # The half turn reverses a column, so maps c + r need no table
         self._pixels = np.argsort(maps, axis=1).T.copy()
-        self._terms = maps * len(maps) + np.arange(len(maps))[:, None]
+        self._terms = maps * r + np.arange(r)[:, None]
 
     def apply(self, x):
         x = as_vector(x, self.cols, repr(self))
-        return (self._weights @ x[self._pixels]).ravel()[self._gather]
+        columns = x[self._pixels]
+        if self._halved:
+            columns = np.hstack((columns, columns[::-1]))
+        return (self._weights @ columns).ravel()[self._gather]
 
     def apply_transpose(self, y):
-        blocks = np.zeros(self._weights.shape[0] * len(self._terms))
+        r = len(self._terms)
+        blocks = np.zeros(self._weights.shape[0] * r * (1 + self._halved))
         blocks[self._gather] = as_vector(y, self.rows, repr(self))
-        products = self._weights.T @ blocks.reshape(-1, len(self._terms))
+        products = self._weights.T @ blocks.reshape(self._weights.shape[0], -1)
+        if self._halved:  # map c + r's terms, turned back onto map c's rows
+            products = products[:, :r] + products[::-1, r:]
         # the r maps' terms of each pixel, added in the maps' order
         return products.ravel()[self._terms].sum(axis=0)
 

@@ -123,6 +123,8 @@ ASSEMBLY_GEOMETRIES = {
     "near_axis_32": ProjectionGeometry(
         n_x=32, n_y=32, k=31, angles=[1e-10, 1e-8, np.pi / 2.0 - 1e-9, 0.3]
     ),
+    # an odd grid under the orbit rule: the middle ray is its own mirror
+    "odd_orbit": standard_geometry(15, 16),
 }
 
 
@@ -263,15 +265,32 @@ def in_orbit_rule(geom):
             and geom.angles.tobytes() == uniform.tobytes())
 
 
+def traced_rays(geom, reps):
+    """The rays the orbit projector stores of each of the first ``reps``
+    angles: ray k-1-i is ray i's mirror, so an angle keeps the ceil(k/2)
+    rays it traces, unless the shortest kept segment of its k rays times
+    min(|sin|, |cos|) is below the mirror margin, where a floor may round
+    onto a grid line; then it keeps all k.  theta = 0 always does."""
+    work = np.empty((4, geom.k * (geom.n_x + geom.n_y + 4)))
+    rays = []
+    for theta in geom.angles[:reps]:
+        shortest = _trace_angle(geom, float(theta), work, geom.k)[3]
+        axis = min(abs(np.sin(theta)), abs(np.cos(theta)))
+        whole = shortest * axis < projector._MIRROR_MARGIN
+        rays.append(geom.k if whole else (geom.k + 1) // 2)
+    return rays
+
+
 def assert_orbit_products(geom, workers=None):
     """Outside the orbit rule the orbit projector traces every angle and
-    its products have the stored transpose's bits; inside it traces
-    angles 0 .. l/4, and its products and expanded blocks agree with the
-    stored transpose's within rounding."""
+    its products have the stored transpose's bits; inside it stores the
+    traced rays of angles 0 .. l/4, and its products and expanded blocks
+    agree with the stored transpose's within rounding."""
     with mock.patch.object(projector, "_worker_count", lambda geom: workers or 1):
         stored_t, orbit = ParallelProjector(geom), OrbitProjector(geom)
     rule = in_orbit_rule(geom)
-    assert orbit._weights.shape[0] == geom.k * (geom.l // 4 + 1 if rule else geom.l)
+    rows = sum(traced_rays(geom, geom.l // 4 + 1)) if rule else geom.m
+    assert orbit._weights.shape[0] == rows
     rng = np.random.default_rng(5)
     x, y = rng.standard_normal(geom.n), rng.standard_normal(geom.m)
     products = [(orbit.apply(x), stored_t.apply(x)),
@@ -292,9 +311,10 @@ def assert_orbit_products(geom, workers=None):
 
 
 class TestOrbitLayout:
-    """The orbit projector stores W's representative angle blocks ray
-    major: byte for byte the stored transpose's products outside the
-    orbit rule, and the same numbers within rounding inside it."""
+    """The orbit projector stores the traced rays of W's representative
+    angle blocks ray major: byte for byte the stored transpose's products
+    outside the orbit rule, and the same numbers within rounding inside
+    it."""
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("name", sorted(ASSEMBLY_GEOMETRIES))
@@ -328,9 +348,10 @@ class TestOrbitLayout:
     def test_stores_the_representatives_reference_matrix(self):
         geom = standard_geometry(16, 30)  # angles 0 .. 7 represent all 30
         ref, _ = reference_assembly(replace(geom, angles=geom.angles[:8]))
+        rows = [a * geom.k + i for a, rays in enumerate(traced_rays(geom, 8)) for i in range(rays)]
         weights = OrbitProjector(geom)._weights.copy()
         weights.sum_duplicates()  # the rays are stored in the order traced
-        assert_same_arrays(weights, ref)
+        assert_same_arrays(weights, ref[rows])
 
     def test_stores_the_rays_sorted_outside_the_rule_alone(self):
         inside = OrbitProjector(standard_geometry(128, 180))._weights
@@ -338,8 +359,10 @@ class TestOrbitLayout:
         assert not inside.has_sorted_indices
         assert outside.has_canonical_format
 
-    def test_builds_repeat_byte_for_byte(self):
-        geom = standard_geometry(128, 180)
+    @pytest.mark.parametrize(
+        "geom", [standard_geometry(128, 180), ASSEMBLY_GEOMETRIES["odd_orbit"]],
+        ids=["128x180", "odd_orbit"])
+    def test_builds_repeat_byte_for_byte(self, geom):
         first, second = OrbitProjector(geom), OrbitProjector(geom)
         for name in ("data", "indices", "indptr"):
             a, b = getattr(first._weights, name), getattr(second._weights, name)
@@ -351,10 +374,11 @@ class TestOrbitLayout:
 
     @pytest.mark.skipif(sys.platform != "linux", reason="VmHWM from /proc/self/status")
     def test_cli_size_assembles_serially_without_a_transient(self):
-        # the peak grows by what the projector holds, the quarter matrix
-        # and its index tables, and no more: a transpose, or a second
-        # worker's entries moved down over the unused part of the first
-        # worker's worst-case region, would show here
+        # the peak grows by what the projector holds, the traced half of
+        # the quarter matrix and its index tables, and no more: a
+        # transpose, or a second worker's entries moved down over the
+        # unused part of the first worker's worst-case region, would show
+        # here
         script = """
 from dpctomo.projector import OrbitProjector, standard_geometry
 def peak():
