@@ -40,7 +40,7 @@ from .fileio import (
     write_report_csv,
     write_sinogram,
 )
-from .gbit import GBiTConfig, gbit_solve, lsqr_solve
+from .gbit import GBiTConfig, gbit_solve
 from .linops import scaled_norm
 from .projector import (
     Image,
@@ -358,12 +358,7 @@ def cmd_reconstruct(args) -> int:
             profile = Sinogram(k=sino.k, l=sino.l, values=data, h=sino.h)
             image_out = fbp_reconstruct(profile, geom, kind, projector=projector)
         else:
-            if args.solver == "lsqr":
-                x, report = lsqr_solve(
-                    operator, data, iters=solver_config.max_iter, x_true=solver_config.x_true
-                )
-            else:
-                x, report = gbit_solve(operator, data, solver_config)
+            x, report = gbit_solve(operator, data, solver_config)
             if report.termination == "breakdown" and not report.records:
                 raise NumericalFailure(
                     f"bidiagonalization broke down ({report.breakdown}) before "

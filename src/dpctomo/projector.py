@@ -19,33 +19,29 @@ ascending order.  Its adjoint gathers over those rays, and its forward
 runs through scipy's CSC view of the same arrays, made per call, which
 adds each ray's pixels in ascending order.
 
-``OrbitProjector``, which every CLI command builds, traces half the rays
-of a quarter of the angles and expands them by the eight symmetries of
-the square.  The orbit rule: a square grid, k = n detectors at unit
-spacing, and ``uniform_angles(l)`` with l even.  Then the block of angle
-j + l/2 is block j on the grid turned a quarter, and the block of l/2 - j
-is block j on the transposed grid, so angles 0 .. l/4 give all l blocks
-(46 of 180).  Ray k-1-i of an angle is ray i on the grid turned a half
-(below), so each of these angles keeps only the ceil(k/2) rays it
-traces, unless it was traced whole (theta = 0 always is).  The four maps,
-and each followed by the half turn p -> n-1-p, make eight.  The kept rays
-are traced serially and stored in the order traced, never sorted or
-transposed: 458,121 entries at 128^2 x 180 and 1.83 M at 256^2 x 180,
-half of the 0.90 M and 3.60 M the four maps needed.  Both products run
-the stored rays on eight permuted columns at once (the half turn
-reverses a column, so it needs no table of its own), and the adjoint
-adds each pixel's eight terms in a fixed order: they repeat byte for
-byte and match the stored transpose's within 7e-14 of their maximum.
-Outside the rule every angle is traced whole, under one identity map,
-and W's rows are sorted with a split chord's entries summed, so the
-products keep the stored transpose's bits: both layouts add the same
-terms in the same order.  The rule must leave out odd k - n at unit
-spacing, where a ray at theta = 0 runs on a grid plane whose chord the
-tracer gives to one side, so an expanded block would miss a whole chord.
-On 2 cores, best of 40 products in alternating processes, forward /
-adjoint take 2.4-2.8 / 1.8-1.9 ms at 128^2 x 180 (four maps: 2.5-3.0 /
-1.9-2.0) and 10.4-11.6 / 10.3-11.4 ms at 256^2 x 180 (12.2-13.2 /
-11.5-12.5); a build takes 0.023-0.026 and 0.076-0.084 s, as before.
+``OrbitProjector``, which every CLI command builds, stores the rays each
+angle traces and expands them by pixel maps.  Ray k-1-i of an angle is
+ray i on the grid turned a half, p -> n-1-p (below), so an angle keeps
+only the ceil(k/2) rays it traces, unless it was traced whole (theta = 0
+always is).  Under the orbit rule, a square grid, k = n detectors at unit
+spacing and ``uniform_angles(l)`` with l even, the block of angle j + l/2
+is block j on the grid turned a quarter, and the block of l/2 - j is
+block j on the transposed grid, so angles 0 .. l/4 give all l blocks (46
+of 180) under four maps; outside it every angle is traced, under the
+identity map alone.  The r maps, and each followed by the half turn, make
+2r.  The rule must leave out odd k - n at unit spacing, where a ray at
+theta = 0 runs on a grid plane whose chord the tracer gives to one side,
+so an expanded block would miss a whole chord.  The kept rays are traced
+serially and stored in the order traced, never sorted or transposed:
+458,121 entries at 128^2 x 180 and 1.83 M at 256^2 x 180 under the rule.
+Both products run the stored rays on the 2r columns at once (the half
+turn reverses a column, so it needs no table of its own), and the adjoint
+adds each pixel's 2r terms in a fixed order: they repeat byte for byte
+and match the stored transpose's within 7e-14 of their maximum under the
+rule and 2e-15 outside it.  On 2 cores, best of 40 products in
+alternating processes, forward / adjoint take 2.4-2.8 / 1.8-1.9 ms at
+128^2 x 180 and 10.4-11.6 / 10.3-11.4 ms at 256^2 x 180; a build takes
+0.023-0.026 and 0.076-0.084 s.
 
 Large geometries trace one run of angles per worker on a thread pool,
 into the arrays of W that the assembling thread allocates: workers
@@ -416,21 +412,15 @@ class OrbitProjector(LinearOperator):
         self.geometry = geometry
         reps, maps, rep, col = _orbit(geometry)
         r, k = len(maps), geometry.k
-        self._halved = r > 1
         self._weights, rays = _traced_weights(
-            replace(geometry, angles=geometry.angles[:reps]), 1, not self._halved)
-        if not self._halved:
-            # sorts each ray's pixels and sums a split chord's two entries,
-            # which gives the products the stored transpose's bits; inside
-            # the rule no order is owed, and no sort is paid
-            self._weights.sum_duplicates()
+            replace(geometry, angles=geometry.angles[:reps]), 1, False)
         # ray i of angle a is stored row i of its representative, or, past
-        # a halved representative's rays, row k-1-i under map c + r: the
+        # the representative's traced rays, row k-1-i under map c + r: the
         # half turn p -> n-1-p after map c
         i = np.arange(k)
         mirrored = i >= rays[rep][:, None]
         rows = np.where(mirrored, k - 1 - i, i) + (np.cumsum(rays) - rays)[rep][:, None]
-        self._gather = (rows * r * (1 + self._halved) + col[:, None] + r * mirrored).ravel()
+        self._gather = (rows * 2 * r + col[:, None] + r * mirrored).ravel()
         # both products gather, which is faster than a scatter: the forward
         # hands map c's column the image at the inverse map's pixels, and
         # the adjoint reads pixel p's term at row maps[c, p] of column c.
@@ -441,18 +431,16 @@ class OrbitProjector(LinearOperator):
     def apply(self, x):
         x = as_vector(x, self.cols, repr(self))
         columns = x[self._pixels]
-        if self._halved:
-            columns = np.hstack((columns, columns[::-1]))
-        return (self._weights @ columns).ravel()[self._gather]
+        return (self._weights @ np.hstack((columns, columns[::-1]))).ravel()[self._gather]
 
     def apply_transpose(self, y):
         r = len(self._terms)
-        blocks = np.zeros(self._weights.shape[0] * r * (1 + self._halved))
+        blocks = np.zeros(self._weights.shape[0] * 2 * r)
         blocks[self._gather] = as_vector(y, self.rows, repr(self))
         products = self._weights.T @ blocks.reshape(self._weights.shape[0], -1)
-        if self._halved:  # map c + r's terms, turned back onto map c's rows
-            products = products[:, :r] + products[::-1, r:]
-        # the r maps' terms of each pixel, added in the maps' order
+        # map c + r's terms, turned back onto map c's rows, then the r
+        # maps' terms of each pixel, added in the maps' order
+        products = products[:, :r] + products[::-1, r:]
         return products.ravel()[self._terms].sum(axis=0)
 
 

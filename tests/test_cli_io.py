@@ -975,24 +975,21 @@ def file_values(directory) -> dict:
     return values
 
 
-class TestRayMajorCommands:
-    """Every command solves once, so it stores W ray major, as the
-    orbit projector: the representative angle blocks and the pixel maps
-    that expand them.  None assembles the transpose of W."""
+class TestOrbitCommands:
+    """Every command builds the orbit projector: the traced rays of the
+    representative angles and the pixel maps that expand them.  None
+    assembles the transpose of W."""
 
     @pytest.mark.parametrize("detectors", [20, 23])
     def test_write_the_numbers_of_the_stored_transpose(self, tmp_path, detectors, monkeypatch):
-        # 20 detectors on the 20^2 grid meet the orbit rule, whose products
-        # round differently; 23 do not, and every file keeps its bytes
+        # 20 detectors on the 20^2 grid meet the orbit rule and 23 do not;
+        # both layouts' products round differently from the stored transpose's
         orbit, stored_t = tmp_path / "orbit", tmp_path / "stored_t"
         for directory in (orbit, stored_t):
             directory.mkdir()
             if directory == stored_t:
                 monkeypatch.setattr(cli, "OrbitProjector", projector.ParallelProjector)
             run_every_command(directory, monkeypatch, detectors)
-        if detectors == 23:
-            assert file_bytes(orbit) == file_bytes(stored_t)
-            return
         actual, expected = file_values(orbit), file_values(stored_t)
         assert actual.keys() == expected.keys()
         # gbit on the central model runs to its 200-step cap, deep in
@@ -1003,6 +1000,16 @@ class TestRayMajorCommands:
                 assert actual[name] == values, name
             elif name != "gbit-central.image.txt":
                 assert_close(actual[name], values)
+
+    @pytest.mark.parametrize("detectors", [20, 23])
+    def test_reruns_repeat_byte_for_byte(self, tmp_path, detectors, monkeypatch):
+        # inside the orbit rule and outside it, the rays are kept in the
+        # order traced, and every product adds its terms in a fixed order
+        first, second = tmp_path / "first", tmp_path / "second"
+        for directory in (first, second):
+            directory.mkdir()
+            run_every_command(directory, monkeypatch, detectors)
+        assert file_bytes(first) == file_bytes(second)
 
     def test_no_command_assembles_the_transpose(self, tmp_path, monkeypatch):
         def refuse(*args):

@@ -13,7 +13,6 @@ import sys
 import trace
 import warnings
 from dataclasses import replace
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -128,13 +127,15 @@ ASSEMBLY_GEOMETRIES = {
 }
 
 
-# n_x, n_y 2-12, k 2-14, 1-12 uniform angles, three spacings, 1-3
-# workers: grid and detector parities put rays on grid planes, where a
-# chord is traced as two entries, in about a tenth of these geometries
-many_geometries = given(
+# n_x, n_y 2-12, k 2-14, 1-12 uniform angles, three spacings, and 1-3
+# workers for the assembly: grid and detector parities put rays on grid
+# planes, where a chord is traced as two entries, in about a tenth of
+# these geometries
+GEOMETRY_DRAWS = dict(
     n_x=st.integers(2, 12), n_y=st.integers(2, 12), k=st.integers(2, 14),
-    l=st.integers(1, 12), h=st.sampled_from([0.5, 1.0, 1.3]), workers=st.integers(1, 3),
+    l=st.integers(1, 12), h=st.sampled_from([0.5, 1.0, 1.3]),
 )
+many_geometries = given(**GEOMETRY_DRAWS, workers=st.integers(1, 3))
 
 
 class TestBlockedAssembly:
@@ -265,12 +266,14 @@ def in_orbit_rule(geom):
             and geom.angles.tobytes() == uniform.tobytes())
 
 
-def traced_rays(geom, reps):
-    """The rays the orbit projector stores of each of the first ``reps``
-    angles: ray k-1-i is ray i's mirror, so an angle keeps the ceil(k/2)
-    rays it traces, unless the shortest kept segment of its k rays times
-    min(|sin|, |cos|) is below the mirror margin, where a floor may round
-    onto a grid line; then it keeps all k.  theta = 0 always does."""
+def traced_rays(geom):
+    """The rays the orbit projector stores of each representative angle,
+    0 .. l/4 under the orbit rule and every angle outside it: ray k-1-i
+    is ray i's mirror, so an angle keeps the ceil(k/2) rays it traces,
+    unless the shortest kept segment of its k rays times min(|sin|,
+    |cos|) is below the mirror margin, where a floor may round onto a
+    grid line; then it keeps all k.  theta = 0 always does."""
+    reps = geom.l // 4 + 1 if in_orbit_rule(geom) else geom.l
     work = np.empty((4, geom.k * (geom.n_x + geom.n_y + 4)))
     rays = []
     for theta in geom.angles[:reps]:
@@ -281,28 +284,21 @@ def traced_rays(geom, reps):
     return rays
 
 
-def assert_orbit_products(geom, workers=None):
-    """Outside the orbit rule the orbit projector traces every angle and
-    its products have the stored transpose's bits; inside it stores the
-    traced rays of angles 0 .. l/4, and its products and expanded blocks
-    agree with the stored transpose's within rounding."""
-    with mock.patch.object(projector, "_worker_count", lambda geom: workers or 1):
-        stored_t, orbit = ParallelProjector(geom), OrbitProjector(geom)
-    rule = in_orbit_rule(geom)
-    rows = sum(traced_rays(geom, geom.l // 4 + 1)) if rule else geom.m
-    assert orbit._weights.shape[0] == rows
+def assert_orbit_products(geom):
+    """The orbit projector stores the traced rays of its representative
+    angles, and its products and expanded blocks agree with the stored
+    transpose's within rounding."""
+    stored_t, orbit = ParallelProjector(geom), OrbitProjector(geom)
+    # the count pins where the orbit applies
+    assert orbit._weights.shape[0] == sum(traced_rays(geom))
     rng = np.random.default_rng(5)
     x, y = rng.standard_normal(geom.n), rng.standard_normal(geom.m)
     products = [(orbit.apply(x), stored_t.apply(x)),
                 (orbit.apply_transpose(y), stored_t.apply_transpose(y))]
     for actual, expected in products:
-        if rule:
-            assert np.abs(actual - expected).max() <= 1e-12 * np.abs(expected).max()
-        else:
-            assert actual.tobytes() == expected.tobytes()
-    if rule:
-        assert_adjoint(orbit, seed=7)
-    if rule and geom.n <= 32**2:  # densifying 64^2 x 90 takes seconds
+        assert np.abs(actual - expected).max() <= 1e-12 * np.abs(expected).max()
+    assert_adjoint(orbit, seed=7)
+    if geom.n <= 32**2:  # densifying 64^2 x 90 takes seconds
         expanded, traced = densify(orbit), densify(stored_t)
         for a in range(geom.l):
             rows = slice(a * geom.k, (a + 1) * geom.k)
@@ -311,21 +307,19 @@ def assert_orbit_products(geom, workers=None):
 
 
 class TestOrbitLayout:
-    """The orbit projector stores the traced rays of W's representative
-    angle blocks ray major: byte for byte the stored transpose's products
-    outside the orbit rule, and the same numbers within rounding inside
-    it."""
+    """The orbit projector stores the rays that W's representative angles
+    trace, in the order traced: the stored transpose's products within
+    rounding, inside the orbit rule and outside it."""
 
-    @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("name", sorted(ASSEMBLY_GEOMETRIES))
-    def test_products_match_the_stored_transpose(self, name, workers):
-        assert_orbit_products(ASSEMBLY_GEOMETRIES[name], workers)
+    def test_products_match_the_stored_transpose(self, name):
+        assert_orbit_products(ASSEMBLY_GEOMETRIES[name])
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-    @many_geometries
-    def test_products_match_over_many_geometries(self, n_x, n_y, k, l, h, workers):
+    @given(**GEOMETRY_DRAWS)
+    def test_products_match_over_many_geometries(self, n_x, n_y, k, l, h):
         geom = ProjectionGeometry(n_x=n_x, n_y=n_y, k=k, angles=uniform_angles(l), h=h)
-        assert_orbit_products(geom, workers)
+        assert_orbit_products(geom)
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(n=st.integers(2, 16), dk=st.sampled_from([0, -1, 1, 2]),
@@ -345,23 +339,21 @@ class TestOrbitLayout:
         assert_orbit_products(
             ProjectionGeometry(n_x=n, n_y=n, k=max(n + dk, 1), angles=angles, h=h))
 
-    def test_stores_the_representatives_reference_matrix(self):
-        geom = standard_geometry(16, 30)  # angles 0 .. 7 represent all 30
-        ref, _ = reference_assembly(replace(geom, angles=geom.angles[:8]))
-        rows = [a * geom.k + i for a, rays in enumerate(traced_rays(geom, 8)) for i in range(rays)]
+    # angles 0 .. 7 of 16^2 x 30 represent all 30; nx_ne_ny, k_ne_n,
+    # scaled_h, axis_angles and the near-axis geometries are outside the
+    # orbit rule, and near_axis_8 traces angles whole
+    @pytest.mark.parametrize("geom", [standard_geometry(16, 30), *ASSEMBLY_GEOMETRIES.values()],
+                             ids=["16x30", *ASSEMBLY_GEOMETRIES])
+    def test_stores_the_representatives_reference_matrix(self, geom):
+        rays = traced_rays(geom)
+        ref, _ = reference_assembly(replace(geom, angles=geom.angles[:len(rays)]))
+        rows = [a * geom.k + i for a, kept in enumerate(rays) for i in range(kept)]
         weights = OrbitProjector(geom)._weights.copy()
         weights.sum_duplicates()  # the rays are stored in the order traced
         assert_same_arrays(weights, ref[rows])
 
-    def test_stores_the_rays_sorted_outside_the_rule_alone(self):
-        inside = OrbitProjector(standard_geometry(128, 180))._weights
-        outside = OrbitProjector(replace(standard_geometry(128, 180), k=130))._weights
-        assert not inside.has_sorted_indices
-        assert outside.has_canonical_format
-
-    @pytest.mark.parametrize(
-        "geom", [standard_geometry(128, 180), ASSEMBLY_GEOMETRIES["odd_orbit"]],
-        ids=["128x180", "odd_orbit"])
+    @pytest.mark.parametrize("geom", [standard_geometry(128, 180), *ASSEMBLY_GEOMETRIES.values()],
+                             ids=["128x180", *ASSEMBLY_GEOMETRIES])
     def test_builds_repeat_byte_for_byte(self, geom):
         first, second = OrbitProjector(geom), OrbitProjector(geom)
         for name in ("data", "indices", "indptr"):
