@@ -227,6 +227,10 @@ def write_manifest(path, manifest: RunManifest) -> None:
 def read_manifest(path) -> RunManifest:
     with open(path) as fh:
         try:
-            return RunManifest(**json.load(fh))
+            manifest = RunManifest(**json.load(fh))
         except (TypeError, ValueError) as exc:  # not JSON, or not RunManifest's keys
             raise InputError(f"{path}: not a run manifest ({exc})") from exc
+    for name in ("config", "extra"):  # read by key
+        if not isinstance(getattr(manifest, name), dict):
+            raise InputError(f"{path}: not a run manifest ({name} is not a JSON object)")
+    return manifest

@@ -38,15 +38,7 @@ Both products run the stored rays on the 2r columns at once (the half
 turn reverses a column, so it needs no table of its own), and the adjoint
 adds each pixel's 2r terms in a fixed order: they repeat byte for byte
 and match the stored transpose's within 7e-14 of their maximum under the
-rule and 2e-15 outside it.  On 2 cores, best of 40 products in
-alternating processes, forward / adjoint take 2.4-2.8 / 1.8-1.9 ms at
-128^2 x 180 and 10.4-11.6 / 10.3-11.4 ms at 256^2 x 180; a build takes
-0.023-0.026 and 0.076-0.084 s.
-
-Large geometries trace one run of angles per worker on a thread pool,
-into the arrays of W that the assembling thread allocates: workers
-allocate nothing larger than one angle's temporaries, because glibc
-keeps what a thread frees in that thread's malloc arena.
+rule and 2e-15 outside it.
 
 Each angle traces only its first ceil(k/2) rays: detector k-1-i sits at
 -t_i and the grid planes are symmetric, so its ray holds ray i's lengths
@@ -59,10 +51,7 @@ projector reads them through the half turn.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from functools import partial
 
 import numpy as np
 import scipy.sparse as sp
@@ -241,22 +230,6 @@ def _trace_angle(geom: ProjectionGeometry, theta: float, work: np.ndarray, rays:
     return np.count_nonzero(valid, axis=1), ix[valid].astype(np.int32), lengths[valid], shortest
 
 
-# Assembly traces one run of angles per worker on a thread pool once the
-# geometry traces _WORK_PER_WORKER crossing parameters per worker: numpy
-# and scipy release the interpreter lock on arrays that large.  Measured
-# on 2 cores (best of 4 builds per fresh process, 1 and 2 workers
-# alternating), a second worker saved no time up to 176²·180 (11.3 M
-# parameters; 0.103-0.111 s serial against 0.098-0.116 s at 128²·180,
-# 6.0 M), broke even at 192²·180 (13.4 M) and saved a fifth from
-# 224²·180 (18.2 M; 0.38-0.40 against 0.29-0.34 s at 256²·180, 23.8 M).
-# It costs memory at every size: the move-down of its entries touches the
-# unused part of the first worker's worst-case region, so a 128²·180
-# build's VmHWM grows by 56-58 MB against 42-44 MB serial.  Three workers
-# would need 24 M, so on hosts with more cores this also caps 256²·180
-# at 2.
-_WORK_PER_WORKER = 8_000_000
-
-
 # A kept segment of length L has its midpoint L * min(|sin|, |cos|) / 2 or
 # more from every grid line, and cell coordinates err by a few ulps of the
 # grid's half width (about 1e-13 at 256^2), so a floor can only go astray
@@ -264,14 +237,11 @@ _WORK_PER_WORKER = 8_000_000
 _MIRROR_MARGIN = 2e-9
 
 
-def _trace_block(geom: ProjectionGeometry, angles: np.ndarray, indices, data, mirror: bool):
-    """Trace a run of consecutive angles into the caller's arrays and
-    return the number of entries of each stored ray and the number of
-    rays stored for each angle.
-
-    ``indices`` and ``data`` receive the entries ray after ray, each ray's
-    in travel order or its reverse; they must hold the
-    ``k * (n_x + n_y + 3)`` entries per angle that a tracing can emit.
+def _traced_weights(geom: ProjectionGeometry, mirror: bool):
+    """The weight matrix as CSR, each ray's entries in travel order or its
+    reverse, a chord split by a grid plane as two entries, and the number
+    of rays stored for each angle: k, or ceil(k/2) for an angle halved
+    without ``mirror``.
 
     Each angle traces its first ceil(k/2) rays.  t_{k-1-i} = -t_i and the
     grid planes are symmetric, so ray k-1-i's crossing parameters, clip,
@@ -285,11 +255,16 @@ def _trace_block(geom: ProjectionGeometry, angles: np.ndarray, indices, data, mi
     8^2 or k = 31 on 32^2.  ``mirror`` writes the other rays of a halved
     angle from the traced ones; without it only the traced rays are
     stored.
+
+    The angles are traced into arrays of the ``k * (n_x + n_y + 3)``
+    entries per angle that a tracing can emit, shrunk in place after.
     """
+    most = geom.l * geom.k * (geom.n_x + geom.n_y + 3)
+    indices, data = np.empty(most, dtype=np.int32), np.empty(most)
     work = np.empty((4, geom.k * (geom.n_x + geom.n_y + 4)))
     traced, mirrored, last = (geom.k + 1) // 2, geom.k // 2, geom.n - 1
     per_ray, rays, end = [], [], 0
-    for theta in angles:
+    for theta in geom.angles:
         theta = float(theta)
         counts, pix_idx, w, shortest = _trace_angle(geom, theta, work, traced)
         axis = min(abs(math.sin(theta)), abs(math.cos(theta)))
@@ -307,61 +282,21 @@ def _trace_block(geom: ProjectionGeometry, angles: np.ndarray, indices, data, mi
             per_ray.append(counts[:mirrored][::-1])
             end += size
         rays.append(geom.k if mirror else counts.size)
-    return np.concatenate(per_ray), rays
-
-
-def _worker_count(geom: ProjectionGeometry) -> int:
-    if hasattr(os, "sched_getaffinity"):  # the cores this process may use
-        cores = len(os.sched_getaffinity(0))
-    else:
-        cores = os.cpu_count() or 1
-    work = geom.l * geom.k * (geom.n_x + geom.n_y + 4)
-    return max(1, min(cores, work // _WORK_PER_WORKER))
-
-
-def _traced_weights(geom: ProjectionGeometry, workers: int, mirror: bool):
-    """The weight matrix as CSR, each ray's entries in travel order or its
-    reverse, a chord split by a grid plane as two entries, and the number
-    of rays stored for each angle: k, or ceil(k/2) for an angle halved
-    without ``mirror`` (see ``_trace_block``).
-
-    The filled parts of the traced runs are moved down into one run and
-    the arrays shrunk in place to it.
-    """
-    angle_runs = np.array_split(geom.angles, min(workers, geom.l))
-    most = geom.k * (geom.n_x + geom.n_y + 3)  # entries one angle can emit
-    starts = most * np.cumsum([0] + [angles.size for angles in angle_runs])
-    parts = list(zip(starts[:-1], starts[1:]))
-    indices = np.empty(starts[-1], dtype=np.int32)
-    data = np.empty(starts[-1])
-    with ThreadPoolExecutor(workers) as pool:  # starts no thread if unused
-        run = pool.map if workers > 1 else map
-        counts, rays = zip(*run(partial(_trace_block, geom, mirror=mirror), angle_runs,
-                                [indices[a:b] for a, b in parts], [data[a:b] for a, b in parts]))
-    end = 0  # the moves may overlap; numpy assigns as if through a copy
-    for (start, _), per_ray in zip(parts, counts):
-        filled = int(per_ray.sum())
-        indices[end : end + filled] = indices[start : start + filled]
-        data[end : end + filled] = data[start : start + filled]
-        end += filled
-    # in place.  The part views died with the pool; numpy's reference
-    # check would also count what a profiler or tracer holds of the array
-    # itself (a bound method for its call hook, the frame's locals)
+    # no reference check: a profiler or tracer holds references to the arrays
     indices.resize(end, refcheck=False)
     data.resize(end, refcheck=False)
-    indptr = np.concatenate(([0], np.cumsum(np.concatenate(counts))))
+    indptr = np.concatenate(([0], np.cumsum(np.concatenate(per_ray))))
     weights = sp.csr_matrix((data, indices, indptr), shape=(indptr.size - 1, geom.n))
-    return weights, np.concatenate(rays)
+    return weights, np.array(rays)
 
 
-def _assemble_weights(geom: ProjectionGeometry, workers: int) -> sp.csr_matrix:
+def _assemble_weights(geom: ProjectionGeometry) -> sp.csr_matrix:
     """The transpose of the weight matrix, CSR in canonical format.
 
     The transpose, one CSR -> CSC counting sort, lists each pixel's rays
-    in ascending order whatever the order within a ray, so it does not
-    depend on the worker count.
+    in ascending order whatever the order within a ray.
     """
-    weights_t = _traced_weights(geom, workers, True)[0].T.tocsr()
+    weights_t = _traced_weights(geom, True)[0].T.tocsr()
     # a ray along a grid plane splits one chord into two entries; the sum
     # of two addends has the same bits in either order
     weights_t.sum_duplicates()
@@ -374,7 +309,7 @@ class ParallelProjector(LinearOperator):
     def __init__(self, geometry: ProjectionGeometry):
         super().__init__(geometry.m, geometry.n)
         self.geometry = geometry
-        self._weights_t = _assemble_weights(geometry, _worker_count(geometry))
+        self._weights_t = _assemble_weights(geometry)
 
     def apply(self, x):
         return self._weights_t.T @ as_vector(x, self.cols, repr(self))
@@ -413,7 +348,7 @@ class OrbitProjector(LinearOperator):
         reps, maps, rep, col = _orbit(geometry)
         r, k = len(maps), geometry.k
         self._weights, rays = _traced_weights(
-            replace(geometry, angles=geometry.angles[:reps]), 1, False)
+            replace(geometry, angles=geometry.angles[:reps]), False)
         # ray i of angle a is stored row i of its representative, or, past
         # the representative's traced rays, row k-1-i under map c + r: the
         # half turn p -> n-1-p after map c

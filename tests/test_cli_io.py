@@ -910,6 +910,26 @@ class TestReconstructCommand:
             assert result.returncode == 3, (value, result.stderr)
             assert manifest_path_for(bad) in result.stderr and "Traceback" not in result.stderr
 
+    @pytest.mark.parametrize("value", [None, 5, [1.0], "epsilon_noise"],
+                             ids=["null", "number", "list", "string"])
+    @pytest.mark.parametrize("section", ["config", "extra"])
+    def test_manifest_section_not_an_object_is_io_error_naming_the_file(
+        self, pipeline, tmp_path, capsys, section, value
+    ):
+        # in process, where an uncaught error fails the test; a string
+        # section would answer ``in`` by substring and then refuse its key
+        # as a number that is not finite
+        _, _, sino_path = pipeline
+        bad = tmp_path / "bad.sino"
+        bad.write_text(sino_path.read_text())
+        manifest = json.loads(Path(manifest_path_for(sino_path)).read_text())
+        Path(manifest_path_for(bad)).write_text(json.dumps({**manifest, section: value}))
+        code = cli.main(["reconstruct", "--sino", str(bad), "--solver", "gbit",
+                         "--epsilon", "manifest", "--out", str(tmp_path / "rec")])
+        stderr = capsys.readouterr().err
+        assert code == 3, stderr
+        assert f"{manifest_path_for(bad)}: not a run manifest ({section} is not" in stderr
+
     def test_lsqr_default_cap_is_the_solver_default(self, pipeline, tmp_path):
         _, _, sino_path = pipeline
         prefix = tmp_path / "rec"

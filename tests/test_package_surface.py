@@ -6,7 +6,8 @@ as a name, an attribute, an imported name, or a string that is exactly
 the name (the benchmark traces functions by their names).  Definitions
 whose own name is their only mention, and test-only helpers, belong in
 ``tests/``.  Likewise every parameter or field with a default must be
-set by some call there.
+set by some call there, and every module-level import and constant must
+be read in its own module.
 """
 
 import ast
@@ -142,3 +143,36 @@ def test_every_option_is_set_outside_the_tests():
             if not passed:
                 unset.append(f"{path.name}: {callee}({name})")
     assert not unset, "options with a default that only the tests set: " + ", ".join(unset)
+
+
+def module_level_names(tree, imports=True):
+    """(name, line) of each name that a module-level import or assignment
+    binds, leaving out ``from __future__`` and dunder names."""
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if imports and getattr(node, "module", None) != "__future__":
+                for alias in node.names:
+                    yield alias.asname or alias.name.split(".")[0], node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name) and not (
+                        name.id.startswith("__") and name.id.endswith("__")
+                    ):
+                        yield name.id, node.lineno
+
+
+def test_every_module_level_import_and_constant_is_read_in_its_module():
+    """A leftover such as an import or a tuning constant that nothing
+    reads any more.  ``__init__.py``'s imports are the package's
+    re-exports and are not checked."""
+    unread = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for name, line in module_level_names(tree, imports=path.name != "__init__.py"):
+            if name not in read:
+                unread.append(f"{path.name}:{line}: {name}")
+    assert not unread, "bound at module level and never read there: " + ", ".join(unread)
